@@ -135,25 +135,10 @@ type Options struct {
 	// default (16).
 	IntraEventParallelism int
 
-	// DisableBatchMemo turns off the cross-event predicate memoization
-	// of the batch match path (MatchBatchInto and streams), leaving only
-	// per-event matching. An ablation switch for experiments; keep it
-	// off in production.
-	DisableBatchMemo bool
-
-	// DisableHybridPostings compiles every cluster posting dense, as
-	// before the density-adaptive layout. An ablation switch (see E18);
-	// keep it off in production.
-	DisableHybridPostings bool
-
-	// DisableFlatEq keeps cluster equality unions in hash maps only,
-	// never building the value-indexed flat tables. An ablation switch.
-	DisableFlatEq bool
-
-	// DisableGroupOrdering evaluates cluster predicate groups in
-	// attribute order instead of descending estimated-kill order. An
-	// ablation switch.
-	DisableGroupOrdering bool
+	// Ablation switches A-PCM techniques off for the ablation
+	// experiments (E17, E18). Its type is internal to this module, so
+	// other modules can only leave it zero: every technique on.
+	Ablation core.Ablation
 
 	// Normalize canonicalises subscriptions on Subscribe (merging
 	// redundant predicates per attribute; see expr.Expression.Normalize)
@@ -240,10 +225,7 @@ func New(opts Options) (*Engine, error) {
 		if opts.ProbeInterval > 0 {
 			cfg.ProbeInterval = opts.ProbeInterval
 		}
-		cfg.DisableMemo = opts.DisableBatchMemo
-		cfg.DisableHybridPostings = opts.DisableHybridPostings
-		cfg.DisableFlatEq = opts.DisableFlatEq
-		cfg.DisableGroupOrder = opts.DisableGroupOrdering
+		cfg.Ablation = opts.Ablation
 		e.cm = core.New(cfg)
 		e.mem = e.cm
 		e.scratches.New = func() any {

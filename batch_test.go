@@ -8,6 +8,7 @@ import (
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/bench"
 )
 
 func equalIDs(a, b []expr.ID) bool {
@@ -50,8 +51,8 @@ func TestMatchBatchDifferential(t *testing.T) {
 	xs := g.Expressions(2500)
 	base := g.Events(160)
 
-	for _, memo := range []bool{false, true} {
-		e := apcm.MustNew(apcm.Options{Workers: 2, DisableBatchMemo: !memo})
+	for _, v := range bench.MemoVariants {
+		e := apcm.MustNew(apcm.Options{Workers: 2, Ablation: v.Ablation})
 		for _, x := range xs {
 			if err := e.Subscribe(x); err != nil {
 				t.Fatal(err)
@@ -78,9 +79,9 @@ func TestMatchBatchDifferential(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-			t.Errorf("memo=%v: %v", memo, err)
+			t.Errorf("%s: %v", v.Name, err)
 		}
-		if memo {
+		if v == bench.Full {
 			st := e.Stats()
 			if st.MemoLookups == 0 {
 				t.Error("memo enabled but Stats reports no memo lookups")

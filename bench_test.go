@@ -18,6 +18,7 @@ import (
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/broker"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/bench"
 	"github.com/streammatch/apcm/internal/osr"
 	"github.com/streammatch/apcm/internal/stats"
 	"github.com/streammatch/apcm/metrics"
@@ -91,19 +92,9 @@ func BenchmarkE1HeadlineThroughput(b *testing.B) {
 // interleaved A/B sequence on one binary.
 func BenchmarkE1AB(b *testing.B) {
 	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, v := range []struct {
-		name string
-		opts apcm.Options
-	}{
-		{"legacy", apcm.Options{
-			DisableHybridPostings: true,
-			DisableFlatEq:         true,
-			DisableGroupOrdering:  true,
-		}},
-		{"pr3", apcm.Options{}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			matchLoop(b, benchEngine(b, v.opts, xs), events)
+	for _, v := range bench.LayoutAB {
+		b.Run(v.Name, func(b *testing.B) {
+			matchLoop(b, benchEngine(b, apcm.Options{Ablation: v.Ablation}, xs), events)
 		})
 	}
 }
@@ -311,13 +302,9 @@ func BenchmarkE17BatchMemo(b *testing.B) {
 	xs, events := benchWorkload(b, p, 10000, 2048)
 	osr.Reorder(events) // locality order, as the OSR window would deliver
 	const batch = 256
-	for _, memo := range []bool{true, false} {
-		name := "memo=on"
-		if !memo {
-			name = "memo=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			e := benchEngine(b, apcm.Options{DisableBatchMemo: !memo}, xs)
+	for _, v := range bench.MemoVariants {
+		b.Run(v.Name, func(b *testing.B) {
+			e := benchEngine(b, apcm.Options{Ablation: v.Ablation}, xs)
 			var r apcm.BatchResult
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -333,7 +320,7 @@ func BenchmarkE17BatchMemo(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(processed)/b.Elapsed().Seconds(), "events/s")
-			if memo {
+			if v == bench.Full {
 				st := e.Stats()
 				if st.MemoLookups > 0 {
 					b.ReportMetric(float64(st.MemoHits)/float64(st.MemoLookups)*100, "memo-hit-%")
@@ -347,22 +334,9 @@ func BenchmarkE17BatchMemo(b *testing.B) {
 
 func BenchmarkE18DensityOrdering(b *testing.B) {
 	xs, events := benchWorkload(b, benchParams(), 10000, 1000)
-	for _, v := range []struct {
-		name string
-		opts apcm.Options
-	}{
-		{"full", apcm.Options{}},
-		{"no-hybrid", apcm.Options{DisableHybridPostings: true}},
-		{"no-flateq", apcm.Options{DisableFlatEq: true}},
-		{"no-ordering", apcm.Options{DisableGroupOrdering: true}},
-		{"all-off", apcm.Options{
-			DisableHybridPostings: true,
-			DisableFlatEq:         true,
-			DisableGroupOrdering:  true,
-		}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			matchLoop(b, benchEngine(b, v.opts, xs), events)
+	for _, v := range bench.LayoutVariants {
+		b.Run(v.Name, func(b *testing.B) {
+			matchLoop(b, benchEngine(b, apcm.Options{Ablation: v.Ablation}, xs), events)
 		})
 	}
 }
@@ -462,16 +436,13 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 
 // ---- E14: broker end-to-end -----------------------------------------------------------------
 
+// BenchmarkE14BrokerEndToEnd publishes over loopback TCP to a broker
+// whose subscriptions all belong to the publishing connection, so every
+// match is framed and delivered back to it. It reports events/s and
+// deliveries/s, as the E14 experiment does.
 func BenchmarkE14BrokerEndToEnd(b *testing.B) {
 	xs, events := benchWorkload(b, benchParams(), 5000, 500)
 	eng := benchEngine(b, apcm.Options{}, nil)
-	for _, x := range xs {
-		seed := &expr.Expression{ID: x.ID + 1<<40, Preds: x.Preds}
-		if err := eng.Subscribe(seed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	eng.Prepare()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -480,12 +451,20 @@ func BenchmarkE14BrokerEndToEnd(b *testing.B) {
 	srv.Logf = func(string, ...any) {}
 	go srv.Serve(ln)
 	b.Cleanup(srv.Close)
-	c, err := broker.Dial(ln.Addr().String())
+	nc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
+	c := broker.NewClientOpts(nc, broker.ClientOptions{})
 	b.Cleanup(func() { c.Close() })
+	for _, x := range xs {
+		if err := c.Subscribe(x, func(*expr.Event) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng.Prepare()
 
+	_, del0 := srv.Stats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -501,7 +480,9 @@ func BenchmarkE14BrokerEndToEnd(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	_, del := srv.Stats()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(del-del0)/b.Elapsed().Seconds(), "deliveries/s")
 }
 
 // ---- E19: sharded matching tier ---------------------------------------

@@ -2,7 +2,9 @@ package broker
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,15 @@ import (
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
 )
+
+// dial connects a bare Client to the broker at addr.
+func dial(addr string) (*Client, error) {
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return NewClientOpts(nc, ClientOptions{}), nil
+}
 
 // startServer returns a running broker on loopback and its address.
 func startServer(t *testing.T) (*Server, string) {
@@ -61,7 +72,7 @@ func recvEvent(t *testing.T, ch <-chan *expr.Event) *expr.Event {
 
 func TestSubscribePublishDeliver(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +105,12 @@ func TestSubscribePublishDeliver(t *testing.T) {
 
 func TestCrossClientDelivery(t *testing.T) {
 	s, addr := startServer(t)
-	subC, err := Dial(addr)
+	subC, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer subC.Close()
-	pubC, err := Dial(addr)
+	pubC, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +124,17 @@ func TestCrossClientDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	recvEvent(t, got)
-	pub, del := s.Stats()
-	if pub != 1 || del != 1 {
-		t.Fatalf("Stats = %d published, %d delivered", pub, del)
-	}
+	// The broker counts a delivery after enqueueing it, so the client
+	// can see the event before the counter moves.
+	waitFor(t, "Stats = 1 published, 1 delivered", func() bool {
+		pub, del := s.Stats()
+		return pub == 1 && del == 1
+	})
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +162,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 
 func TestUnsubscribeUnknownErrors(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +174,7 @@ func TestUnsubscribeUnknownErrors(t *testing.T) {
 
 func TestDuplicateClientIDRejected(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +193,7 @@ func TestDuplicateClientIDRejected(t *testing.T) {
 
 func TestDisconnectCleansUpSubscriptions(t *testing.T) {
 	s, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +288,7 @@ func TestManySubscribersFanout(t *testing.T) {
 	clients := make([]*Client, n)
 	received := make([]chan *expr.Event, n)
 	for i := 0; i < n; i++ {
-		c, err := Dial(addr)
+		c, err := dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +315,7 @@ func TestManySubscribersFanout(t *testing.T) {
 
 func TestPublishAfterClientClose(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +330,7 @@ func TestPublishAfterClientClose(t *testing.T) {
 
 func TestServerCloseReleasesClients(t *testing.T) {
 	s, addr := startServer(t)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,5 +350,40 @@ func TestServerCloseReleasesClients(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("request hung after server close")
+	}
+}
+
+// TestDialSessionRotatesThroughDialHook checks that the one dial hook
+// receives every address of the failover set in order: the first is
+// refused and the session comes up on the second.
+func TestDialSessionRotatesThroughDialHook(t *testing.T) {
+	if _, err := DialSession(nil, SessionConfig{}); err == nil {
+		t.Fatal("DialSession with no addresses succeeded")
+	}
+	_, addr := startServer(t)
+	var mu sync.Mutex
+	var tried []string
+	sess, err := DialSession([]string{"refused", addr}, SessionConfig{
+		Dial: func(a string) (net.Conn, error) {
+			mu.Lock()
+			tried = append(tried, a)
+			mu.Unlock()
+			if a == "refused" {
+				return nil, errors.New("connection refused")
+			}
+			return net.Dial("tcp", a)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(tried, []string{"refused", addr}) {
+		t.Fatalf("dial hook saw %q, want [refused %s]", tried, addr)
+	}
+	if st := sess.State(); st != SessionConnected {
+		t.Fatalf("state %v, want connected", st)
 	}
 }

@@ -91,25 +91,6 @@ type ackResult struct {
 	err error
 }
 
-// Dial connects to a broker at addr.
-func Dial(addr string) (*Client, error) {
-	return DialOpts(addr, ClientOptions{})
-}
-
-// DialOpts connects to a broker at addr with explicit options.
-func DialOpts(addr string, opts ClientOptions) (*Client, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClientOpts(nc, opts), nil
-}
-
-// NewClient wraps an established connection with default options.
-func NewClient(nc net.Conn) *Client {
-	return NewClientOpts(nc, ClientOptions{})
-}
-
 // NewClientOpts wraps an established connection. It sends the protocol
 // hello immediately; the server's answer is verified asynchronously by
 // the read loop, and a version mismatch fails the connection (visible

@@ -45,14 +45,17 @@ func (cs *consumerState) detach(c *conn) {
 // openLog opens the commit log and offset store when LogDir is set.
 // Called from Serve before the accept loop, so every connection
 // goroutine observes the fields fully initialised; they are never
-// reassigned afterwards (Close closes them in place).
+// reassigned afterwards (Close closes them in place). The opens run
+// outside s.mu: commitlog.Open registers metrics, and a registry
+// callback may be waiting for s.mu.
 func (s *Server) openLog() error {
 	if s.LogDir == "" {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log != nil || s.closed {
+	s.mu.RLock()
+	done := s.log != nil || s.closed
+	s.mu.RUnlock()
+	if done {
 		return nil
 	}
 	cfg := s.Log
@@ -80,8 +83,17 @@ func (s *Server) openLog() error {
 		l.Close()
 		return fmt.Errorf("broker: loading replication epoch: %w", err)
 	}
-	s.epoch.Store(epoch)
-	s.log, s.offsets = l, offs
+	s.mu.Lock()
+	lost := s.log != nil || s.closed
+	if !lost {
+		s.epoch.Store(epoch)
+		s.log, s.offsets = l, offs
+	}
+	s.mu.Unlock()
+	if lost {
+		offs.Close()
+		l.Close()
+	}
 	return nil
 }
 

@@ -118,14 +118,7 @@ func startCrashServer(t *testing.T, dir string, fp commitlog.Config) (*Server, s
 	s.Metrics = metrics.New()
 	go func() { _ = s.Serve(ln) }()
 	t.Cleanup(func() { s.Close(); eng.Close() })
-	waitFor(t, "crash server ready", func() bool {
-		for _, v := range s.Metrics.Snapshot() {
-			if v.Name == "apcm_broker_log_segments" {
-				return true
-			}
-		}
-		return false
-	})
+	waitLogOpen(t, s)
 	return s, ln.Addr().String()
 }
 

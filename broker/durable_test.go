@@ -34,23 +34,25 @@ func startDurableServer(t *testing.T, dir string) (*Server, string, *metrics.Reg
 		}
 	}()
 	t.Cleanup(func() { s.Close(); eng.Close() })
-	// Wait until Serve has attached metrics and opened the log: the
-	// commit log registers its segment gauge as the last startup step
-	// before the accept loop.
-	waitFor(t, "durable server ready", func() bool {
-		for _, v := range s.Metrics.Snapshot() {
-			if v.Name == "apcm_broker_log_segments" {
-				return true
-			}
-		}
-		return false
-	})
+	waitLogOpen(t, s)
 	return s, ln.Addr().String(), s.Metrics
 }
 
 type durableRec struct {
 	off uint64
 	ev  *expr.Event
+}
+
+// waitLogOpen waits until Serve has opened s's commit log and is about
+// to accept. The check reads s.log under s.mu, which orders the test's
+// later plain reads of s.log after Serve's write.
+func waitLogOpen(t *testing.T, s *Server) {
+	t.Helper()
+	waitFor(t, "commit log open", func() bool {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return s.log != nil
+	})
 }
 
 // durableDial connects a client that records every durable delivery.
@@ -206,11 +208,21 @@ func TestDurableRedeliveryWithoutAck(t *testing.T) {
 
 	// The successor needs no subscriptions to receive the replay: the
 	// log records what was matched, not how to re-match it.
-	c2, durables2 := durableDial(t, addr, ClientOptions{DisableAutoAck: true})
-	start, err := c2.Resume("noack", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The broker detaches c1's consumer when it reads the close, so the
+	// first resume can still find it attached.
+	var c2 *Client
+	var durables2 <-chan durableRec
+	var start uint64
+	waitFor(t, "resume after c1 detached", func() bool {
+		c, ch := durableDial(t, addr, ClientOptions{DisableAutoAck: true})
+		off, err := c.Resume("noack", 0)
+		if err != nil {
+			c.Close()
+			return false
+		}
+		c2, durables2, start = c, ch, off
+		return true
+	})
 	if start != 0 {
 		t.Fatalf("unacked consumer resumes at %d, want 0", start)
 	}
@@ -352,11 +364,11 @@ func TestSessionDurableResume(t *testing.T) {
 	var offs []uint64
 	var addr addrBox
 	addr.store(addr1)
-	sess, err := DialSession(addr1, SessionConfig{
+	sess, err := DialSession([]string{addr1}, SessionConfig{
 		Consumer:   "sess",
 		Seed:       seed,
 		MinBackoff: 5 * time.Millisecond,
-		Dial:       func() (net.Conn, error) { return net.Dial("tcp", addr.load()) },
+		Dial:       func(string) (net.Conn, error) { return net.Dial("tcp", addr.load()) },
 		Client: ClientOptions{
 			OnDurable: func(off uint64, ev *expr.Event) {
 				mu.Lock()
@@ -373,7 +385,7 @@ func TestSessionDurableResume(t *testing.T) {
 	if err := sess.Subscribe(expr.MustNew(1, expr.Eq(1, 1)), func(*expr.Event) {}); err != nil {
 		t.Fatal(err)
 	}
-	pub, err := Dial(addr1)
+	pub, err := dial(addr1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +403,7 @@ func TestSessionDurableResume(t *testing.T) {
 	_, addr2, _ := startDurableServer(t, dir)
 	addr.store(addr2)
 	waitFor(t, "session reconnected", func() bool { return sess.State() == SessionConnected })
-	pub2, err := Dial(addr2)
+	pub2, err := dial(addr2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestSessionRecoversAcrossBrokerRestart(t *testing.T) {
 
 	rec := &stateRecorder{}
 	reg := metrics.New()
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		MinBackoff:    5 * time.Millisecond,
 		MaxBackoff:    100 * time.Millisecond,
 		Seed:          seed,
@@ -169,11 +169,11 @@ func TestSessionHeartbeatDetectsPartition(t *testing.T) {
 	var mu sync.Mutex
 	var conns []*faultnet.Conn
 	rec := &stateRecorder{}
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		MinBackoff: 5 * time.Millisecond,
 		MaxBackoff: 100 * time.Millisecond,
 		Seed:       seed,
-		Dial: func() (net.Conn, error) {
+		Dial: func(addr string) (net.Conn, error) {
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
@@ -230,9 +230,9 @@ func TestSessionOverSlowChunkedLink(t *testing.T) {
 	seed := faultSeed(t)
 	_, addr := startServer(t)
 
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		Seed: seed,
-		Dial: func() (net.Conn, error) {
+		Dial: func(addr string) (net.Conn, error) {
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
@@ -276,11 +276,11 @@ func TestSessionRecoversFromMidFrameResets(t *testing.T) {
 	seed := faultSeed(t)
 	_, addr := startServer(t)
 
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		MinBackoff: 2 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
 		Seed:       seed,
-		Dial: func() (net.Conn, error) {
+		Dial: func(addr string) (net.Conn, error) {
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
@@ -318,11 +318,11 @@ func TestSessionRecoversFromCorruption(t *testing.T) {
 	seed := faultSeed(t)
 	_, addr := startServer(t)
 
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		MinBackoff: 2 * time.Millisecond,
 		MaxBackoff: 50 * time.Millisecond,
 		Seed:       seed,
-		Dial: func() (net.Conn, error) {
+		Dial: func(addr string) (net.Conn, error) {
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				return nil, err
@@ -429,7 +429,7 @@ func TestShutdownDrainsSlowConsumer(t *testing.T) {
 	}()
 
 	// Publish padded events so a handful saturate the socket buffers.
-	pub, err := Dial(addr)
+	pub, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestSessionGivesUpAfterMaxAttempts(t *testing.T) {
 	go srv.Serve(ln)
 
 	rec := &stateRecorder{}
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		MinBackoff:    time.Millisecond,
 		MaxBackoff:    5 * time.Millisecond,
 		Seed:          seed,
@@ -658,7 +658,7 @@ func TestSessionPublishBufferBounds(t *testing.T) {
 	go srv.Serve(ln)
 
 	const buffer = 8
-	sess, err := DialSession(addr, SessionConfig{
+	sess, err := DialSession([]string{addr}, SessionConfig{
 		MinBackoff:    50 * time.Millisecond,
 		MaxBackoff:    time.Second,
 		Seed:          seed,

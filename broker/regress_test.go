@@ -8,6 +8,7 @@ import (
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/metrics"
 )
 
 // newTestConn registers a synthetic connection on srv with a bounded
@@ -167,4 +168,67 @@ func TestClientFailsOnAckIDMismatch(t *testing.T) {
 		t.Fatal("publish succeeded on a desynchronized connection")
 	}
 	<-srvDone
+}
+
+// TestScrapeWhileServeOpensLog checks that a metrics scrape cannot
+// deadlock with Serve's startup. Opening the commit log registers
+// metrics (registry write lock) and the apcm_broker_connections callback
+// takes s.mu, so Serve must not hold s.mu across the open, and the
+// registry must not hold its lock across callbacks. Each round starts a
+// durable broker under a tight scrape loop and must reach a served
+// subscription within the deadline.
+func TestScrapeWhileServeOpensLog(t *testing.T) {
+	for round := 0; round < 40; round++ {
+		reg := metrics.New()
+		eng := apcm.MustNew(apcm.Options{Workers: 1})
+		srv := NewServer(eng)
+		srv.Metrics = reg
+		srv.LogDir = t.TempDir()
+		srv.Log.NoFsync = true
+		srv.Logf = func(string, ...any) {}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		stop := make(chan struct{})
+		scraperDone := make(chan struct{})
+		go func() {
+			defer close(scraperDone)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					reg.Snapshot()
+				}
+			}
+		}()
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		ready := make(chan error, 1)
+		go func() {
+			c, err := dial(ln.Addr().String())
+			if err == nil {
+				err = c.Subscribe(expr.MustNew(1, expr.Eq(1, 1)), func(*expr.Event) {})
+				c.Close()
+			}
+			ready <- err
+		}()
+		select {
+		case err := <-ready:
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: broker did not serve within 10s: Serve and the scrape deadlocked", round)
+		}
+		close(stop)
+		<-scraperDone
+		srv.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve: %v", round, err)
+		}
+		eng.Close()
+	}
 }

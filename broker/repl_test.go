@@ -35,14 +35,7 @@ func startReplServer(t *testing.T, dir string, tune func(*Server)) (*Server, str
 	}
 	go func() { _ = s.Serve(ln) }()
 	t.Cleanup(func() { s.Close(); eng.Close() })
-	waitFor(t, "repl server ready", func() bool {
-		for _, v := range s.Metrics.Snapshot() {
-			if v.Name == "apcm_broker_log_segments" {
-				return true
-			}
-		}
-		return false
-	})
+	waitLogOpen(t, s)
 	return s, ln.Addr().String()
 }
 
@@ -238,6 +231,82 @@ func TestLeaderRetentionClampedByFollower(t *testing.T) {
 	}
 }
 
+// TestJournalShipsNoOffsetPastReplicated checks that the leader never
+// ships a consumer offset beyond the follower's acknowledged watermark:
+// a replica that attaches at 0 and never acks is only ever told 0,
+// however far the consumer has acknowledged on the leader. Otherwise a
+// follower promoted mid-catch-up would resume the consumer past its own
+// log end.
+func TestJournalShipsNoOffsetPastReplicated(t *testing.T) {
+	leader, lAddr := startReplServer(t, t.TempDir(), nil)
+	c, rec := attachConsumer(t, lAddr, "ahead")
+	const total = 20
+	for seq := 0; seq < total; seq++ {
+		if err := c.Publish(crashEvent(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every delivery acknowledged", func() bool {
+		next, _ := leader.offsets.Get("ahead")
+		offs, _ := rec.snapshot()
+		return len(offs) >= total && next == total
+	})
+
+	nc, err := net.Dial("tcp", lAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := writeFrame(nc, helloFrame()); err != nil {
+		t.Fatal(err)
+	}
+	hello := appendUvarint([]byte{msgReplHello}, 0)
+	hello = appendUvarint(hello, 0)
+	hello = append(hello, "silent"...)
+	if err := writeFrame(nc, hello); err != nil {
+		t.Fatal(err)
+	}
+	shipped := make(chan uint64, 64)
+	go func() {
+		var buf []byte
+		for {
+			frame, err := readFrame(nc, buf)
+			if err != nil {
+				return
+			}
+			buf = frame
+			if len(frame) == 0 || frame[0] != msgReplOffsets {
+				continue
+			}
+			for body := frame[1:]; len(body) > 0; {
+				nlen, rest, err := readUvarint(body)
+				if err != nil || uint64(len(rest)) < nlen {
+					return
+				}
+				next, rest, err := readUvarint(rest[nlen:])
+				if err != nil {
+					return
+				}
+				body = rest
+				select {
+				case shipped <- next:
+				default:
+				}
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		select {
+		case next := <-shipped:
+			if next != 0 {
+				t.Fatalf("leader shipped offset %d to a replica that acknowledged nothing", next)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no offsets shipped to the replica")
+		}
+	}
+}
+
 // replDialer wraps the follower's replication dials in faultnet so a
 // test can impose an asymmetric partition on the live connection.
 type replDialer struct {
@@ -330,7 +399,7 @@ func TestReplFailoverEndToEnd(t *testing.T) {
 	var mu sync.Mutex
 	gotSeqs := make(map[int]bool)
 	gotOffs := make(map[uint64]bool)
-	sess, err := DialSessionMulti([]string{lAddr, fAddr}, SessionConfig{
+	sess, err := DialSession([]string{lAddr, fAddr}, SessionConfig{
 		Consumer:   "e2e",
 		Seed:       1,
 		MinBackoff: 10 * time.Millisecond,

@@ -304,9 +304,10 @@ func (c *conn) shipAlignedSegment(next *uint64) (shipped, ok bool) {
 }
 
 // replJournalLoop periodically ships every consumer's acknowledged
-// offset to the follower, so a promotion resumes consumers near where
-// the leader left off (acks between ships are redelivered —
-// at-least-once, as everywhere else). Exits with the connection.
+// offset, capped at the replicated watermark, to the follower, so a
+// promotion resumes consumers near where the leader left off (acks
+// between ships are redelivered — at-least-once, as everywhere else).
+// Exits with the connection.
 func (c *conn) replJournalLoop() {
 	s := c.s
 	t := time.NewTicker(s.replHeartbeat())
@@ -317,12 +318,20 @@ func (c *conn) replJournalLoop() {
 			return
 		case <-t.C:
 		}
+		// Ship no offset past the follower's acknowledged log end, so a
+		// promoted follower never resumes a consumer beyond the records
+		// it holds; a clamped offset is shipped again as acks advance.
+		repl, attached := s.log.Replicated()
+		if !attached {
+			continue
+		}
 		frame := []byte{msgReplOffsets}
 		for _, name := range s.offsets.Names() {
 			next, ok := s.offsets.Get(name)
 			if !ok {
 				continue
 			}
+			next = min(next, repl)
 			frame = appendUvarint(frame, uint64(len(name)))
 			frame = append(frame, name...)
 			frame = appendUvarint(frame, next)

@@ -302,14 +302,18 @@ func (s *Server) attachMetrics() {
 	reg.GaugeFunc("apcm_broker_repl_role", "replication role: 0 leader, 1 follower, 2 fenced",
 		func() float64 { return float64(s.role.Load()) })
 	reg.GaugeFunc("apcm_broker_repl_lag", "records committed on the leader but not yet acknowledged by the attached follower", func() float64 {
-		if s.log == nil {
+		// Serve may be publishing the log while a scrape runs.
+		s.mu.RLock()
+		l := s.log
+		s.mu.RUnlock()
+		if l == nil {
 			return 0
 		}
-		repl, ok := s.log.Replicated()
+		repl, ok := l.Replicated()
 		if !ok {
 			return 0
 		}
-		if next := s.log.NextOffset(); next > repl {
+		if next := l.NextOffset(); next > repl {
 			return float64(next - repl)
 		}
 		return 0

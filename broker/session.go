@@ -60,13 +60,9 @@ var (
 // publish buffer.
 type SessionConfig struct {
 	// Dial, when non-nil, replaces net.Dial("tcp", addr) — the hook for
-	// TLS, proxies or fault injection in tests. It always targets the
-	// session's single address; multi-address sessions use DialAddr.
-	Dial func() (net.Conn, error)
-	// DialAddr, when non-nil, replaces net.Dial("tcp", addr) for
-	// multi-address sessions (DialSessionMulti), receiving the address
-	// the session currently targets. Ignored when Dial is set.
-	DialAddr func(addr string) (net.Conn, error)
+	// TLS, proxies or fault injection in tests. It receives the address
+	// the session currently targets.
+	Dial func(addr string) (net.Conn, error)
 	// MinBackoff/MaxBackoff bound the delay between reconnect attempts:
 	// the delay starts at MinBackoff (default 50ms), doubles per failed
 	// attempt up to MaxBackoff (default 5s), and is jittered uniformly
@@ -141,13 +137,12 @@ type sessionSub struct {
 type Session struct {
 	cfg SessionConfig
 
-	// addrs is the failover set; addr is the element currently targeted
-	// (addrs[addrIdx % len]). Both are touched only by the goroutine
-	// driving connects (DialSession's caller first, then the supervisor).
-	addrs   []string
-	addrIdx int
-	addr    string
-	rng     *rand.Rand // reconnect-loop goroutine only
+	// addrs is the failover set and addrs[at] the address currently
+	// targeted. at is touched only by the goroutine driving connects
+	// (DialSession's caller first, then the supervisor).
+	addrs []string
+	at    int
+	rng   *rand.Rand // reconnect-loop goroutine only
 
 	pubq   chan []byte
 	closed chan struct{}
@@ -172,37 +167,29 @@ type Session struct {
 	mResumeRej  *metrics.Counter
 }
 
-// DialSession connects to a broker at addr and keeps the connection
-// alive across failures. The initial connection is synchronous: if the
-// broker is unreachable now, DialSession fails fast and no session is
-// created. After that, transport failures are absorbed: the session
-// transitions to SessionReconnecting, retries with backoff, resubscribes
-// everything, and flushes buffered publishes.
-func DialSession(addr string, cfg SessionConfig) (*Session, error) {
-	return dialSession([]string{addr}, cfg)
-}
-
-// DialSessionMulti is DialSession over a failover set: the session
-// targets one address at a time and rotates to the next on every failed
-// connection attempt — including attempts a non-leader broker rejects
-// by closing the connection — so a session pointed at a replicated pair
-// follows whichever node currently leads. With a durable Consumer the
-// handoff is gap-free under -repl-sync: everything the old leader
-// delivered is on the promoted follower's log, and the resume replay
-// redelivers anything unacknowledged (at-least-once, as always).
-func DialSessionMulti(addrs []string, cfg SessionConfig) (*Session, error) {
+// DialSession connects to a broker and keeps the connection alive
+// across failures. addrs is the failover set: the session targets one
+// address at a time and rotates to the next on every failed connection
+// attempt — including attempts a non-leader broker rejects by closing
+// the connection — so a session pointed at a replicated pair follows
+// whichever node currently leads. With a durable Consumer the handoff
+// is gap-free under -repl-sync: everything the old leader delivered is
+// on the promoted follower's log, and the resume replay redelivers
+// anything unacknowledged (at-least-once, as always).
+//
+// The initial connection is synchronous: if no address is reachable
+// now, DialSession fails fast and no session is created. After that,
+// transport failures are absorbed: the session transitions to
+// SessionReconnecting, retries with backoff, resubscribes everything,
+// and flushes buffered publishes.
+func DialSession(addrs []string, cfg SessionConfig) (*Session, error) {
 	if len(addrs) == 0 {
-		return nil, errors.New("broker: DialSessionMulti needs at least one address")
+		return nil, errors.New("broker: DialSession needs at least one address")
 	}
-	return dialSession(addrs, cfg)
-}
-
-func dialSession(addrs []string, cfg SessionConfig) (*Session, error) {
 	cfg.fillDefaults()
 	s := &Session{
 		cfg:    cfg,
 		addrs:  addrs,
-		addr:   addrs[0],
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		pubq:   make(chan []byte, cfg.PublishBuffer),
 		closed: make(chan struct{}),
@@ -257,14 +244,12 @@ func dialSession(addrs []string, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
+// addr returns the address currently targeted.
+func (s *Session) addr() string { return s.addrs[s.at] }
+
 // rotateAddr advances to the next address in the failover set after a
-// failed connection attempt. Single-address sessions are unaffected.
-func (s *Session) rotateAddr() {
-	if len(s.addrs) > 1 {
-		s.addrIdx++
-		s.addr = s.addrs[s.addrIdx%len(s.addrs)]
-	}
-}
+// failed connection attempt.
+func (s *Session) rotateAddr() { s.at = (s.at + 1) % len(s.addrs) }
 
 // install publishes cl as the current connection and re-replays to
 // catch subscriptions registered between connect's replay pass and now
@@ -281,12 +266,9 @@ func (s *Session) install(cl *Client) {
 
 func (s *Session) dial() (net.Conn, error) {
 	if s.cfg.Dial != nil {
-		return s.cfg.Dial()
+		return s.cfg.Dial(s.addr())
 	}
-	if s.cfg.DialAddr != nil {
-		return s.cfg.DialAddr(s.addr)
-	}
-	return net.Dial("tcp", s.addr)
+	return net.Dial("tcp", s.addr())
 }
 
 // connect establishes one connection and replays the current
@@ -423,10 +405,10 @@ func (s *Session) reconnect() *Client {
 			s.reconnects.Add(1)
 			s.mReconnects.Inc()
 			s.install(cl)
-			s.cfg.Logf("broker session: reconnected to %s (attempt %d)", s.addr, attempt)
+			s.cfg.Logf("broker session: reconnected to %s (attempt %d)", s.addr(), attempt)
 			return cl
 		}
-		s.cfg.Logf("broker session: reconnect attempt %d (%s): %v", attempt, s.addr, err)
+		s.cfg.Logf("broker session: reconnect attempt %d (%s): %v", attempt, s.addr(), err)
 		// Rotate through the failover set: a follower rejects client
 		// operations by closing the connection, which lands here as a
 		// failed attempt and moves the session to the next candidate.

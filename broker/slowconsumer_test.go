@@ -87,7 +87,7 @@ func TestSlowConsumerDropped(t *testing.T) {
 
 	// The healthy subscriber keeps reading the whole time.
 	var healthyGot atomic.Int64
-	healthy, err := Dial(addr)
+	healthy, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSlowConsumerDropped(t *testing.T) {
 
 	// Publish enough padded events to overflow the stalled consumer's
 	// outbox (256 frames) plus both socket buffers.
-	pub, err := Dial(addr)
+	pub, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestStressManyPublishersAndSubscribers(t *testing.T) {
 	}
 	subs := make([]*subscriber, nSubscribers)
 	for i := range subs {
-		c, err := Dial(addr)
+		c, err := dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestStressManyPublishersAndSubscribers(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dial(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -115,12 +115,12 @@ func TestStressManyPublishersAndSubscribers(t *testing.T) {
 // and never deadlock.
 func TestStressChurningSubscriptions(t *testing.T) {
 	s, addr := startServer(t)
-	churner, err := Dial(addr)
+	churner, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer churner.Close()
-	pub, err := Dial(addr)
+	pub, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

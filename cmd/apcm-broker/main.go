@@ -8,12 +8,9 @@
 //	apcm-broker -addr :7070 -algorithm apcm -workers 0
 //
 // Optionally pre-load a subscription trace produced by apcm-gen and
-// expose an HTTP monitoring endpoint:
+// expose the HTTP monitoring endpoint:
 //
-//	apcm-broker -addr :7070 -subs workload.subs -http :7071
-//
-// The monitoring endpoint serves GET /stats (engine and broker counters
-// as JSON) and GET /healthz.
+//	apcm-broker -addr :7070 -subs workload.subs -metrics-addr :7071
 //
 // -shards N (N > 1) replaces the single engine with a shard.Group of N
 // partitioned engines: subscriptions are hash-routed across shards and
@@ -22,10 +19,11 @@
 // then sizes the fan-out pool rather than the engine's internal one,
 // and /stats gains a per-shard breakdown plus the imbalance ratio.
 //
-// -metrics-addr turns on the full observability layer on a second
-// listener: /metrics (Prometheus text), /metrics.json, /healthz and
-// /debug/pprof/. It carries per-match latency histograms, stream and
-// broker counters and profiling data; keep it off untrusted networks.
+// -metrics-addr turns on the observability layer on one HTTP listener:
+// /metrics (Prometheus text), /metrics.json, /stats (engine and broker
+// counters as JSON), /healthz and /debug/pprof/. It carries per-match
+// latency histograms, stream and broker counters and profiling data;
+// keep it off untrusted networks.
 //
 // -log-dir enables the durable commit log: every matched delivery is
 // appended to a segmented, CRC-framed log and group-committed (fsync)
@@ -40,8 +38,8 @@
 // the leader), and promotes itself — durably bumping the replication
 // epoch, which fences the old leader — when the leader stays silent
 // past -repl-timeout. On the leader, -repl-sync gates durable delivery
-// on follower acknowledgement. See broker.DialSessionMulti for the
-// client side of failover.
+// on follower acknowledgement. See broker.DialSession for the client
+// side of failover.
 //
 // On SIGTERM/SIGINT the broker drains gracefully: with -checkpoint it
 // first persists the subscription set atomically (restored on the next
@@ -90,8 +88,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "engine shards: >1 partitions subscriptions across a shard.Group")
 		subs       = flag.String("subs", "", "optional subscription trace to pre-load")
 		statsIv    = flag.Duration("stats", 10*time.Second, "stats reporting interval (0 disables)")
-		httpAddr   = flag.String("http", "", "optional HTTP monitoring address (serves /stats and /healthz)")
-		metAddr    = flag.String("metrics-addr", "", "optional observability address (serves /metrics, /metrics.json and /debug/pprof)")
+		metAddr    = flag.String("metrics-addr", "", "optional observability address (serves /metrics, /metrics.json, /stats, /healthz and /debug/pprof)")
 		checkpoint = flag.String("checkpoint", "", "subscription checkpoint file: restored on boot, written atomically on shutdown")
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT before hard close")
 		hbInterval = flag.Duration("heartbeat", 0, "expected client heartbeat cadence (0 = 5s default, negative disables idle reaping)")
@@ -218,7 +215,17 @@ func main() {
 	}
 
 	if reg != nil {
-		ms := &http.Server{Addr: *metAddr, Handler: metrics.NewMux(reg), ReadHeaderTimeout: 5 * time.Second}
+		mux := metrics.NewMux(reg)
+		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
+			pub, del := srv.Stats()
+			body := engineStats(eng)
+			body["published"] = pub
+			body["delivered"] = del
+			body["uptime_seconds"] = int64(time.Since(start).Seconds())
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(body)
+		})
+		ms := &http.Server{Addr: *metAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 		//apcm:detached process-lifetime server; ListenAndServe returns on the deferred ms.Close()
 		go func() {
 			fmt.Printf("apcm-broker: metrics on http://%s/metrics\n", *metAddr)
@@ -233,32 +240,6 @@ func main() {
 			})
 			defer stop()
 		}
-	}
-
-	if *httpAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.WriteHeader(http.StatusOK)
-			fmt.Fprintln(w, "ok")
-		})
-		mux.HandleFunc("GET /stats", func(w http.ResponseWriter, _ *http.Request) {
-			pub, del := srv.Stats()
-			body := engineStats(eng)
-			body["published"] = pub
-			body["delivered"] = del
-			body["uptime_seconds"] = int64(time.Since(start).Seconds())
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(body)
-		})
-		hs := &http.Server{Addr: *httpAddr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		//apcm:detached process-lifetime server; ListenAndServe returns on the deferred hs.Close()
-		go func() {
-			fmt.Printf("apcm-broker: monitoring on http://%s/stats\n", *httpAddr)
-			if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fatal("http: %v", err)
-			}
-		}()
-		defer hs.Close()
 	}
 
 	if *statsIv > 0 {

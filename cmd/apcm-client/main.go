@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -56,10 +57,11 @@ func main() {
 			fmt.Printf("match: @%d %s\n", off, ev.Format(schema))
 		}
 	}
-	c, err := broker.DialOpts(*addr, opts)
+	nc, err := net.Dial("tcp", *addr)
 	if err != nil {
 		fatal("%v", err)
 	}
+	c := broker.NewClientOpts(nc, opts)
 	defer c.Close()
 
 	switch args[0] {

@@ -1,6 +1,6 @@
 // Command apcm-lint runs the repo's go/analysis suite (internal/lint):
-// hotpathalloc, scratchrelease, atomicfield, ablationconst, metricname,
-// lockorder, goroutinelife, fsyncorder, atomicpublish.
+// hotpathalloc, scratchrelease, atomicfield, metricname, lockorder,
+// goroutinelife, fsyncorder, atomicpublish.
 //
 // It is dual-mode:
 //

@@ -66,17 +66,16 @@ func main() {
 	}
 	type subscriber struct {
 		who      string
-		client   *broker.Client
 		received atomic.Int64
 	}
 	subs := make([]*subscriber, len(profiles))
 	for i, p := range profiles {
-		c, err := broker.Dial(addr)
+		c, err := broker.DialSession([]string{addr}, broker.SessionConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer c.Close()
-		s := &subscriber{who: p.who, client: c}
+		s := &subscriber{who: p.who}
 		subs[i] = s
 		if err := c.Subscribe(p.prof, func(ev *expr.Event) {
 			s.received.Add(1)
@@ -87,7 +86,7 @@ func main() {
 	}
 
 	// The publisher pushes a burst of news items.
-	pub, err := broker.Dial(addr)
+	pub, err := broker.DialSession([]string{addr}, broker.SessionConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

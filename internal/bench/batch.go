@@ -41,12 +41,8 @@ func e17() Experiment {
 			for _, batch := range []int{1, 16, 64, 256, 1024} {
 				var rates [2]float64
 				var memoPct, eligPct, dedupPct float64
-				for i, memo := range []bool{true, false} {
-					e, err := apcm.New(apcm.Options{
-						Workers:          cfg.Workers,
-						Metrics:          cfg.Metrics,
-						DisableBatchMemo: !memo,
-					})
+				for i, v := range MemoVariants {
+					e, err := apcm.New(apcm.Options{Workers: cfg.Workers, Metrics: cfg.Metrics, Ablation: v.Ablation})
 					if err != nil {
 						return err
 					}
@@ -59,7 +55,7 @@ func e17() Experiment {
 					e.Prepare()
 					rate, n := batchThroughputN(e, events, batch, cfg.MinMeasure)
 					rates[i] = rate
-					if memo {
+					if v == Full {
 						st := e.Stats()
 						if st.MemoLookups > 0 {
 							memoPct = float64(st.MemoHits) / float64(st.MemoLookups) * 100

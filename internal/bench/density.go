@@ -26,21 +26,6 @@ func e18() Experiment {
 		Expect: "on the sparse canonical workload each lever contributes and all-off is slowest; on the dense redundant regime the variants tie within noise (ours: beyond-paper ablation)",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			type variant struct {
-				label string
-				opts  apcm.Options
-			}
-			variants := []variant{
-				{"full", apcm.Options{}},
-				{"no-hybrid", apcm.Options{DisableHybridPostings: true}},
-				{"no-flateq", apcm.Options{DisableFlatEq: true}},
-				{"no-ordering", apcm.Options{DisableGroupOrdering: true}},
-				{"all-off", apcm.Options{
-					DisableHybridPostings: true,
-					DisableFlatEq:         true,
-					DisableGroupOrdering:  true,
-				}},
-			}
 			type regime struct {
 				label string
 				pool  int
@@ -55,14 +40,11 @@ func e18() Experiment {
 				p := baseParams(cfg.Seed)
 				p.PredPoolSize = rg.pool
 				xs, events := gen(p, cfg.n(15000, 200), cfg.n(2000, 100))
-				rates := make([]float64, len(variants))
-				layouts := make([]string, len(variants))
-				tables := make([]int, len(variants))
-				for i, v := range variants {
-					opts := v.opts
-					opts.Workers = cfg.Workers
-					opts.Metrics = cfg.Metrics
-					e, err := apcm.New(opts)
+				rates := make([]float64, len(LayoutVariants))
+				layouts := make([]string, len(LayoutVariants))
+				tables := make([]int, len(LayoutVariants))
+				for i, v := range LayoutVariants {
+					e, err := apcm.New(apcm.Options{Workers: cfg.Workers, Metrics: cfg.Metrics, Ablation: v.Ablation})
 					if err != nil {
 						return err
 					}
@@ -80,8 +62,8 @@ func e18() Experiment {
 					e.Close()
 				}
 				base := rates[len(rates)-1] // all-off
-				for i, v := range variants {
-					t.AddRow(rg.label, v.label, FormatRate(rates[i]),
+				for i, v := range LayoutVariants {
+					t.AddRow(rg.label, v.Name, FormatRate(rates[i]),
 						fmt.Sprintf("%.2fx", safeDiv(rates[i], base)),
 						layouts[i], fmt.Sprintf("%d", tables[i]))
 				}

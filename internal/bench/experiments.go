@@ -637,10 +637,11 @@ func e14() Experiment {
 			go srv.Serve(ln) //apcm:detached Serve returns on the deferred srv.Close()
 			defer srv.Close()
 
-			c, err := broker.Dial(ln.Addr().String())
+			nc, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				return err
 			}
+			c := broker.NewClientOpts(nc, broker.ClientOptions{})
 			defer c.Close()
 			for i, x := range xs[n-50:] {
 				sub := &expr.Expression{ID: expr.ID(i + 1), Preds: x.Preds}

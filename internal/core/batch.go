@@ -279,7 +279,7 @@ func (m *Matcher) SortUseful() bool {
 // policy has measured it useless for the current workload. Pair with
 // EndBatch.
 func (m *Matcher) BeginBatch(s *Scratch) {
-	if m.cfg.DisableMemo || !m.memoUseful() {
+	if m.cfg.Ablation.disables(BatchMemo) || !m.memoUseful() {
 		return
 	}
 	s.kern.memoOn = true

@@ -147,7 +147,7 @@ func TestBatchMemoInvalidatedByChurn(t *testing.T) {
 // results are unchanged.
 func TestDisableMemo(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DisableMemo = true
+	cfg.Ablation = Ablate(BatchMemo)
 	p := workload.Default()
 	p.Seed = 3
 	g, err := workload.New(p)
@@ -179,7 +179,7 @@ func TestDisableMemo(t *testing.T) {
 		}
 	}
 	if _, memoLookups, _, _, _ := m.BatchCounters(); memoLookups != 0 {
-		t.Fatalf("memo consulted %d times with DisableMemo set", memoLookups)
+		t.Fatalf("memo consulted %d times with BatchMemo ablated", memoLookups)
 	}
 }
 

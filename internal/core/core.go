@@ -82,26 +82,53 @@ type Config struct {
 	// Decay is the weight kept by the old cost estimate at each probe,
 	// in (0,1). Default 0.8.
 	Decay float64
-	// DisableMemo turns off the cross-event predicate memo armed by
-	// BeginBatch (ablation switch for the batch experiments).
-	DisableMemo bool
-	// DisableHybridPostings compiles every posting dense, as before the
-	// density-adaptive layout (ablation switch, see E18).
-	DisableHybridPostings bool
-	// DisableFlatEq keeps equality unions in the Go map only, never
-	// building the value-indexed flat tables (ablation switch).
-	DisableFlatEq bool
-	// DisableGroupOrder evaluates groups in attribute order instead of
-	// descending estimated-kill order (ablation switch).
-	DisableGroupOrder bool
+	// Ablation switches techniques off for the ablation experiments;
+	// the zero value keeps every technique on.
+	Ablation Ablation
 }
+
+// Technique names one A-PCM technique an Ablation can switch off.
+type Technique uint8
+
+// The techniques an Ablation can switch off.
+const (
+	// BatchMemo is the cross-event predicate memo armed by BeginBatch.
+	BatchMemo Technique = 1 << iota
+	// HybridPostings is the density-adaptive posting layout; without it
+	// every posting compiles dense.
+	HybridPostings
+	// FlatEq is the value-indexed flat equality tables; without them
+	// equality unions stay in the Go map.
+	FlatEq
+	// GroupOrder is the descending estimated-kill group order; without
+	// it groups are evaluated in attribute order.
+	GroupOrder
+)
+
+// Ablation is a set of switched-off techniques (see E17, E18). Its
+// field is unexported and the package is internal, so code outside this
+// module can hold only the zero value, which switches nothing off.
+// Build other values with Ablate.
+type Ablation struct{ off Technique }
+
+// Ablate returns the Ablation that switches the given techniques off.
+func Ablate(off ...Technique) Ablation {
+	var a Ablation
+	for _, t := range off {
+		a.off |= t
+	}
+	return a
+}
+
+// disables reports whether a switches t off.
+func (a Ablation) disables(t Technique) bool { return a.off&t != 0 }
 
 // layout derives the compile-time layout switches from the config.
 func (c *Config) layout() layoutOpts {
 	return layoutOpts{
-		forceDense: c.DisableHybridPostings,
-		noEqFlat:   c.DisableFlatEq,
-		noOrder:    c.DisableGroupOrder,
+		forceDense: c.Ablation.disables(HybridPostings),
+		noEqFlat:   c.Ablation.disables(FlatEq),
+		noOrder:    c.Ablation.disables(GroupOrder),
 	}
 }
 

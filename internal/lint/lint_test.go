@@ -28,7 +28,7 @@ func TestAnalyzers(t *testing.T) {
 // orphans its fixture directory.
 func TestSuiteShape(t *testing.T) {
 	want := []string{
-		"hotpathalloc", "scratchrelease", "atomicfield", "ablationconst", "metricname",
+		"hotpathalloc", "scratchrelease", "atomicfield", "metricname",
 		"lockorder", "goroutinelife", "fsyncorder", "atomicpublish",
 	}
 	got := lint.Analyzers()

@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/apcm-lint -tags apcmlint_smoke ./internal/lint/smoke
 //
-// must exit nonzero with nine diagnostics — one per analyzer. CI runs
+// must exit nonzero with eight diagnostics — one per analyzer. CI runs
 // that as a required step (see .github/workflows/ci.yml): a lint gate
 // that cannot fail is indistinguishable from no gate.
 package smoke
@@ -29,8 +29,6 @@ var pool sync.Pool
 type Registry struct{}
 
 func (r *Registry) Counter(name, help string) {}
-
-type config struct{ DisableFlatEq bool }
 
 // hotDefer seeds a hotpathalloc violation: defer in a hot path.
 //
@@ -55,18 +53,6 @@ func leakScratch(cond bool) int {
 func mixedAccess(t *thing) int64 {
 	atomic.AddInt64(&t.n, 1)
 	return t.n
-}
-
-// loopSwitch seeds an ablationconst violation: an ablation switch
-// consulted per iteration instead of at arming time.
-func loopSwitch(cfg *config, events []int) int {
-	n := 0
-	for range events {
-		if cfg.DisableFlatEq {
-			n++
-		}
-	}
-	return n
 }
 
 // badMetric seeds a metricname violation: a registration without the

@@ -137,6 +137,28 @@ func TestSnapshotAndFuncs(t *testing.T) {
 	}
 }
 
+// TestSnapshotCallbacksRunUnlocked checks that Snapshot runs callbacks
+// outside the registry lock: a callback that itself registers a metric,
+// as a component holding its own lock across registration would, must
+// not deadlock the snapshot.
+func TestSnapshotCallbacksRunUnlocked(t *testing.T) {
+	r := New()
+	r.GaugeFunc("outer", "", func() float64 {
+		r.Counter("inner_total", "")
+		return 1
+	})
+	done := make(chan []Value)
+	go func() { done <- r.Snapshot() }()
+	select {
+	case snap := <-done:
+		if len(snap) != 1 || snap[0].Value != 1 {
+			t.Fatalf("snapshot %+v, want the one gauge at 1", snap)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Snapshot deadlocked: a callback ran under the registry lock")
+	}
+}
+
 func TestPrometheusFormat(t *testing.T) {
 	r := New()
 	r.Counter("apcm_published_total", "events published").Add(12)

@@ -146,11 +146,23 @@ type Value struct {
 	Hist  HistogramSnapshot
 }
 
-// snapshotLocked reads every entry; the caller holds r.mu (read).
-func (r *Registry) snapshotLocked() []Value {
-	out := make([]Value, 0, len(r.order))
-	for _, name := range r.order {
-		e := r.entries[name]
+// Snapshot reads every metric, in registration order. Nil registries
+// return nil. The entry list is copied under the lock and read after it
+// is released, so GaugeFunc and CounterFunc callbacks never run under the
+// registry lock: a callback may take its component's own locks while
+// that component, on another goroutine, holds them to register metrics.
+func (r *Registry) Snapshot() []Value {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	entries := make([]*entry, len(r.order))
+	for i, name := range r.order {
+		entries[i] = r.entries[name]
+	}
+	r.mu.RUnlock()
+	out := make([]Value, len(entries))
+	for i, e := range entries {
 		v := Value{Name: e.name, Kind: e.kind, Help: e.help}
 		switch {
 		case e.fn != nil:
@@ -162,20 +174,9 @@ func (r *Registry) snapshotLocked() []Value {
 		case e.hist != nil:
 			v.Hist = e.hist.Snapshot()
 		}
-		out = append(out, v)
+		out[i] = v
 	}
 	return out
-}
-
-// Snapshot reads every metric, in registration order. Nil registries
-// return nil.
-func (r *Registry) Snapshot() []Value {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.snapshotLocked()
 }
 
 // WriteJSON writes the snapshot as one flat JSON object keyed by metric
