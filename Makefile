@@ -16,8 +16,13 @@ build:
 test:
 	$(GO) test ./...
 
+# The lock-heavy layers: engine + stream (root), broker, scheduler, OSR,
+# the batch kernel, the bitset kernels and the metrics instruments. CI
+# runs this target in both kernel modes, passing the build tag through
+# GOFLAGS:
+#   GOFLAGS=-tags=apcm_avx2 make race
 race:
-	$(GO) test -race -timeout 20m . ./shard/ ./broker/ ./metrics/ ./internal/sched/ ./internal/osr/ ./internal/core/
+	$(GO) test -race -timeout 20m . ./shard/ ./broker/ ./metrics/ ./internal/sched/ ./internal/osr/ ./internal/core/ ./internal/bitset/
 
 # The fault-injection suite (broker restart/partition/slow-link/reset
 # scenarios over internal/faultnet, plus the commit-log crash-recovery
@@ -75,8 +80,11 @@ lint-smoke:
 		echo "lint-smoke: gate fires as expected"; \
 	fi
 
+# One iteration of every data point of every experiment (E1–E20 as
+# sub-benchmarks of BenchmarkExperiments) plus the metrics overhead
+# gate: catches benchmarks that no longer run, without measuring.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
 clean:
-	rm -f apcm-lint apcm-lint.json bench-smoke.out bench-ab.out bench-shard.out
+	rm -f apcm-lint apcm-lint.json bench-smoke.out bench-ab.out bench-commitlog.out bench-coldstart.out

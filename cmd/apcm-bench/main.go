@@ -1,7 +1,10 @@
 // Command apcm-bench regenerates the evaluation's tables and figures
 // (experiments E1–E14, see DESIGN.md §4 and EXPERIMENTS.md), the
-// beyond-paper ablations (E15–E18) and the sharded-tier scaling sweep
-// (E19, tuned with -shards).
+// beyond-paper ablations (E15–E18), the sharded-tier scaling sweep
+// (E19, tuned with -shards) and the cold-start restore (E20). The same
+// experiments run under go test as the sub-benchmarks of
+// BenchmarkExperiments; this command times each data point for at least
+// -measure and prints the tables.
 //
 // Usage:
 //

@@ -5,21 +5,24 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'E1|E8|E10' -benchmem . | \
+//	go test -run '^$' -bench 'Experiments/E10$' -benchmem . | \
 //	    go run ./cmd/apcm-benchjson -out BENCH.json
 //
 // Each selected benchmark line becomes one entry with every reported
 // metric: ns/op, the custom events/s metric, and (with -benchmem)
-// B/op and allocs/op. Lines that are not benchmark results pass through
-// untouched to stderr so the human-readable log survives the pipe.
+// B/op and allocs/op, plus the GOMAXPROCS it ran with (the "-N" name
+// suffix go test adds when N is not 1). The document records the
+// machine from go test's goos/goarch/cpu header lines. Lines that are
+// not benchmark results pass through untouched to stderr so the
+// human-readable log survives the pipe.
 //
 // With -ab "new=old", benchmark names that differ only in the /new vs
 // /old sub-benchmark segment are paired up (averaging repeated -count
 // runs per side) and an "ab" section records the speedup of new over
 // old, so interleaved A/B runs reduce to one ratio per benchmark:
 //
-//	go test -run '^$' -bench 'E1AB' -count 6 . | \
-//	    go run ./cmd/apcm-benchjson -ab pr3=legacy -out BENCH_pr3.json
+//	go test -run '^$' -bench 'Experiments/E18$' -count 6 . | \
+//	    go run ./cmd/apcm-benchjson -ab full=all-off -out BENCH_pr3.json
 package main
 
 import (
@@ -27,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -36,6 +40,7 @@ import (
 // entry is one benchmark result line.
 type entry struct {
 	Name        string  `json:"name"`
+	GOMAXPROCS  int     `json:"gomaxprocs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
 	EventsPerS  float64 `json:"events_per_sec,omitempty"`
@@ -58,48 +63,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		entries           []entry
-		goos, goarch, pkg string
-	)
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			pkg = strings.TrimPrefix(line, "pkg: ")
-		}
-		if e, ok := parseLine(line); ok && re.MatchString(e.Name) {
-			entries = append(entries, e)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
-	if err := sc.Err(); err != nil {
+	d, err := parse(os.Stdin, re, os.Stderr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "apcm-benchjson: read: %v\n", err)
 		os.Exit(1)
 	}
-
-	doc := struct {
-		GOOS       string     `json:"goos,omitempty"`
-		GOARCH     string     `json:"goarch,omitempty"`
-		Pkg        string     `json:"pkg,omitempty"`
-		Benchmarks []entry    `json:"benchmarks"`
-		AB         []abResult `json:"ab,omitempty"`
-	}{goos, goarch, pkg, entries, nil}
 	if *ab != "" {
 		newV, oldV, ok := strings.Cut(*ab, "=")
 		if !ok || newV == "" || oldV == "" {
 			fmt.Fprintf(os.Stderr, "apcm-benchjson: bad -ab %q (want new=old)\n", *ab)
 			os.Exit(2)
 		}
-		doc.AB = pairAB(entries, newV, oldV)
+		d.AB = pairAB(d.Benchmarks, newV, oldV)
 	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
+	buf, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apcm-benchjson: %v\n", err)
 		os.Exit(1)
@@ -113,6 +90,38 @@ func main() {
 		fmt.Fprintf(os.Stderr, "apcm-benchjson: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// doc is the JSON document: the machine, then one entry per result.
+type doc struct {
+	GOOS       string     `json:"goos,omitempty"`
+	GOARCH     string     `json:"goarch,omitempty"`
+	CPU        string     `json:"cpu,omitempty"`
+	Pkg        string     `json:"pkg,omitempty"`
+	Benchmarks []entry    `json:"benchmarks"`
+	AB         []abResult `json:"ab,omitempty"`
+}
+
+// parse reads go test -bench output, keeping the header fields and the
+// result lines whose name re matches, and copies every line to echo.
+func parse(r io.Reader, re *regexp.Regexp, echo io.Writer) (doc, error) {
+	var d doc
+	header := map[string]*string{"goos: ": &d.GOOS, "goarch: ": &d.GOARCH, "cpu: ": &d.CPU, "pkg: ": &d.Pkg}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		for prefix, field := range header {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				*field = v
+			}
+		}
+		if e, ok := parseLine(line); ok && re.MatchString(e.Name) {
+			d.Benchmarks = append(d.Benchmarks, e)
+		}
+		fmt.Fprintln(echo, line)
+	}
+	return d, sc.Err()
 }
 
 // abResult is one paired A/B comparison: the "new" variant of a
@@ -201,13 +210,6 @@ func pairAB(entries []entry, newV, oldV string) []abResult {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // parseLine decodes one `Benchmark.../sub-1  N  123 ns/op  456 unit ...`
 // result line; ok is false for anything else.
 func parseLine(line string) (entry, bool) {
@@ -219,7 +221,12 @@ func parseLine(line string) (entry, bool) {
 	if err != nil {
 		return entry{}, false
 	}
-	e := entry{Name: fields[0], Iterations: iters}
+	e := entry{Name: fields[0], GOMAXPROCS: 1, Iterations: iters}
+	if i := strings.LastIndexByte(e.Name, '-'); i >= 0 {
+		if n, err := strconv.Atoi(e.Name[i+1:]); err == nil && n > 0 {
+			e.GOMAXPROCS = n
+		}
+	}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

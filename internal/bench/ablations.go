@@ -29,17 +29,11 @@ func e15() Experiment {
 			t := NewTable("E15: A-PCM throughput vs probe interval",
 				"probe interval", "A-PCM ev/s")
 			for _, pi := range []int{2, 8, 32, 64, 256, 1024} {
-				e, err := apcm.New(apcm.Options{Workers: cfg.Workers, ProbeInterval: pi})
+				e, err := buildEngine(cfg, apcm.Options{ProbeInterval: pi}, xs)
 				if err != nil {
 					return err
 				}
-				for _, x := range xs {
-					if err := e.Subscribe(x); err != nil {
-						return err
-					}
-				}
-				e.Prepare()
-				r := throughput(e, events, cfg.MinMeasure)
+				r := matchRate(cfg, fmt.Sprintf("probe=%d", pi), e, events, 64)
 				e.Close()
 				t.AddRow(fmt.Sprintf("%d", pi), FormatRate(r))
 			}
@@ -65,17 +59,11 @@ func e16() Experiment {
 			for _, size := range []int{32, 64, 128, 256, 512, 1024} {
 				row := []string{fmt.Sprintf("%d", size)}
 				for _, alg := range []apcm.Algorithm{apcm.BETree, apcm.PCM, apcm.APCM} {
-					e, err := apcm.New(apcm.Options{Algorithm: alg, Workers: cfg.Workers, ClusterSize: size})
+					e, err := buildEngine(cfg, apcm.Options{Algorithm: alg, ClusterSize: size}, xs)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							return err
-						}
-					}
-					e.Prepare()
-					row = append(row, FormatRate(throughput(e, events, cfg.MinMeasure)))
+					row = append(row, FormatRate(matchRate(cfg, fmt.Sprintf("cluster=%d/%v", size, alg), e, events, 64)))
 					e.Close()
 				}
 				t.AddRow(row...)

@@ -42,30 +42,23 @@ func e17() Experiment {
 				var rates [2]float64
 				var memoPct, eligPct, dedupPct float64
 				for i, v := range MemoVariants {
-					e, err := apcm.New(apcm.Options{Workers: cfg.Workers, Metrics: cfg.Metrics, Ablation: v.Ablation})
+					e, err := buildEngine(cfg, apcm.Options{Ablation: v.Ablation}, xs)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							e.Close()
-							return err
-						}
-					}
-					e.Prepare()
-					rate, n := batchThroughputN(e, events, batch, cfg.MinMeasure)
-					rates[i] = rate
+					rates[i] = matchRate(cfg, fmt.Sprintf("batch=%d/%s", batch, v.Name), e, events, batch)
 					if v == Full {
+						// The hit ratios of one untimed pass over the stream
+						// after the timed run, so both modes report the same.
+						before := e.Stats()
+						var r apcm.BatchResult
+						for off := 0; off < len(events); off += batch {
+							e.MatchBatchInto(events[off:min(off+batch, len(events))], &r)
+						}
 						st := e.Stats()
-						if st.MemoLookups > 0 {
-							memoPct = float64(st.MemoHits) / float64(st.MemoLookups) * 100
-						}
-						if st.EligLookups > 0 {
-							eligPct = float64(st.EligHits) / float64(st.EligLookups) * 100
-						}
-						if n > 0 {
-							dedupPct = float64(st.BatchDedups) / float64(n) * 100
-						}
+						memoPct = 100 * safeDiv(float64(st.MemoHits-before.MemoHits), float64(st.MemoLookups-before.MemoLookups))
+						eligPct = 100 * safeDiv(float64(st.EligHits-before.EligHits), float64(st.EligLookups-before.EligLookups))
+						dedupPct = 100 * safeDiv(float64(st.BatchDedups-before.BatchDedups), float64(len(events)))
 					}
 					e.Close()
 				}

@@ -1,9 +1,15 @@
 // Package bench is the experiment harness: every table and figure of
-// the evaluation (E1–E14, see DESIGN.md §4) plus the beyond-paper
-// ablations (E15–E18) is a named, runnable experiment that regenerates
-// the corresponding rows/series. The
-// cmd/apcm-bench binary and the repository-level Go benchmarks are thin
-// wrappers over this package.
+// the evaluation (E1–E14, see DESIGN.md §4), the beyond-paper ablations
+// (E15–E18), the sharded tier (E19) and the cold-start restore (E20) is
+// a named experiment here, and this is the only definition of each
+// one's workload, axes, variants and measured operation.
+//
+// An experiment runs in two modes that differ only in how a data point
+// is timed. cmd/apcm-bench calls Run, which loops each point until
+// Config.MinMeasure has elapsed and prints the table. The root package's
+// BenchmarkExperiments calls Bench, which makes each point a
+// sub-benchmark named after its table row (E18/canonical/full) and
+// times it over b.N operations.
 //
 // Sizes are expressed at Scale=1 (seconds-per-experiment on a laptop)
 // and multiply with Config.Scale; the paper's absolute sizes (millions
@@ -15,10 +21,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"testing"
 	"time"
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/expr"
+	"github.com/streammatch/apcm/internal/stats"
 	"github.com/streammatch/apcm/metrics"
 	"github.com/streammatch/apcm/workload"
 )
@@ -43,6 +51,11 @@ type Config struct {
 	// Metrics, when non-nil, is attached to every engine the experiments
 	// build, so a live scrape endpoint can watch a long run.
 	Metrics *metrics.Registry
+
+	// runPoint, set by Experiment.Bench, runs each data point's timed
+	// loop as a benchmark named after its row instead of looping until
+	// MinMeasure.
+	runPoint func(name string, body func(*testing.B))
 }
 
 // emit renders a finished table according to the configured format.
@@ -80,7 +93,7 @@ func (c *Config) n(base, lo int) int {
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {
-	// ID is the experiment key from DESIGN.md (E1..E14).
+	// ID is the experiment key from DESIGN.md §4 (E1..E20).
 	ID string
 	// Title is the figure/table caption.
 	Title string
@@ -91,11 +104,21 @@ type Experiment struct {
 	Run func(cfg Config) error
 }
 
+// Bench runs e under go test: each data point of its table becomes a
+// sub-benchmark of b, named after its row and timed over b.N
+// operations. cfg.MinMeasure is unused.
+func (e Experiment) Bench(b *testing.B, cfg Config) {
+	cfg.runPoint = func(name string, body func(*testing.B)) { b.Run(name, body) }
+	if err := e.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+}
+
 var registry []Experiment
 
 func register(e Experiment) { registry = append(registry, e) }
 
-// All returns every experiment in numeric id order (E1, E2, ... E18),
+// All returns every experiment in numeric id order (E1, E2, ... E20),
 // regardless of registration order across files.
 func All() []Experiment {
 	out := make([]Experiment, len(registry))
@@ -129,10 +152,15 @@ func baseParams(seed int64) workload.Params {
 	return p
 }
 
-// buildEngine subscribes xs into a fresh engine (instrumented with
-// cfg.Metrics when set) and precompiles it.
-func buildEngine(cfg Config, alg apcm.Algorithm, workers int, xs []*expr.Expression) (*apcm.Engine, error) {
-	e, err := apcm.New(apcm.Options{Algorithm: alg, Workers: workers, Metrics: cfg.Metrics})
+// buildEngine subscribes xs into a fresh engine built with opts, with
+// cfg.Workers unless opts sets Workers and instrumented with
+// cfg.Metrics, and precompiles it.
+func buildEngine(cfg Config, opts apcm.Options, xs []*expr.Expression) (*apcm.Engine, error) {
+	if opts.Workers == 0 {
+		opts.Workers = cfg.Workers
+	}
+	opts.Metrics = cfg.Metrics
+	e, err := apcm.New(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -146,63 +174,135 @@ func buildEngine(cfg Config, alg apcm.Algorithm, workers int, xs []*expr.Express
 	return e, nil
 }
 
-// throughput measures sustained matching throughput (events/second) by
-// replaying events in batches until at least minDur has elapsed.
-func throughput(e *apcm.Engine, events []*expr.Event, minDur time.Duration) float64 {
-	return batchThroughput(e, events, 64, minDur)
-}
-
-// batchThroughput is throughput with an explicit batch size, driving the
-// zero-copy MatchBatchInto path with a reused result so the measurement
-// reflects the kernel, not result-slice churn.
-func batchThroughput(e *apcm.Engine, events []*expr.Event, batch int, minDur time.Duration) float64 {
-	rate, _ := batchThroughputN(e, events, batch, minDur)
-	return rate
-}
-
-// batchThroughputN additionally returns the number of events processed
-// during the measured window, for ratio metrics (dedup per event).
-func batchThroughputN(e *apcm.Engine, events []*expr.Event, batch int, minDur time.Duration) (float64, int) {
-	var r apcm.BatchResult
-	// Warm up: compile clusters, settle adaptive estimates.
-	warm := len(events)
-	if warm > 2*batch {
-		warm = 2 * batch
-	}
-	e.MatchBatchInto(events[:warm], &r)
-
-	start := time.Now()
-	n := 0
-	for time.Since(start) < minDur {
-		for off := 0; off < len(events); off += batch {
-			end := off + batch
-			if end > len(events) {
-				end = len(events)
+// rate is the throughput primitive every timed data point goes
+// through. op does one unit of work (a batch of events, a restore, a
+// pass of updates) and returns how many items it handled; rate returns
+// items per second. Under apcm-bench it calls op until cfg.MinMeasure
+// has elapsed, at least once; under go test it calls op b.N times as
+// the benchmark name and reports the rate as unit.
+func rate(cfg Config, name, unit string, op func() (int, error)) (float64, error) {
+	if cfg.runPoint == nil {
+		n := 0
+		start := time.Now()
+		for calls := 0; calls == 0 || time.Since(start) < cfg.MinMeasure; calls++ {
+			k, err := op()
+			if err != nil {
+				return 0, err
 			}
-			e.MatchBatchInto(events[off:end], &r)
-			n += end - off
-			if n >= batch && time.Since(start) >= minDur {
-				break
-			}
+			n += k
 		}
+		return float64(n) / time.Since(start).Seconds(), nil
 	}
-	sec := time.Since(start).Seconds()
-	if sec <= 0 {
-		return 0, n
+	var r float64
+	var err error
+	cfg.runPoint(name, func(b *testing.B) {
+		b.ReportAllocs()
+		n := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k, opErr := op()
+			if err = opErr; err != nil {
+				b.Fatal(err)
+			}
+			n += k
+		}
+		b.StopTimer()
+		r = float64(n) / b.Elapsed().Seconds()
+		b.ReportMetric(r, unit)
+	})
+	return r, err
+}
+
+// minSamples is the fewest calls a latency point samples under
+// apcm-bench, so slow baselines still get a distribution.
+const minSamples = 100
+
+// latency is the latency primitive: it times every call of op into a
+// histogram (nanoseconds). Under apcm-bench it samples until
+// cfg.MinMeasure has elapsed and at least minSamples calls were made;
+// under go test it samples b.N calls as the benchmark name and reports
+// the median and 99th percentile as p50-ns and p99-ns.
+func latency(cfg Config, name string, op func()) *stats.Histogram {
+	h := stats.NewLatencyHistogram()
+	sample := func() {
+		t0 := time.Now()
+		op()
+		h.AddDuration(time.Since(t0))
 	}
-	return float64(n) / sec, n
+	if cfg.runPoint == nil {
+		start := time.Now()
+		for h.Count() < minSamples || time.Since(start) < cfg.MinMeasure {
+			sample()
+		}
+		return h
+	}
+	cfg.runPoint(name, func(b *testing.B) {
+		h = stats.NewLatencyHistogram() // keep only the final b.N run
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sample()
+		}
+		b.StopTimer()
+		b.ReportMetric(h.Quantile(0.50), "p50-ns")
+		b.ReportMetric(h.Quantile(0.99), "p99-ns")
+	})
+	return h
+}
+
+// batchMatcher is the match surface the timed points drive, satisfied
+// by both *apcm.Engine and *shard.Group.
+type batchMatcher interface {
+	MatchAppend([]expr.ID, *expr.Event) []expr.ID
+	MatchBatchInto([]*expr.Event, *apcm.BatchResult)
+}
+
+// matchRate is the events/s of m replaying events in batches of batch
+// through the zero-copy MatchBatchInto path with one reused result, so
+// the number reflects the kernel, not result-slice churn. Two batches'
+// worth of events warm it up first (compiled clusters, adaptive
+// estimates).
+func matchRate(cfg Config, name string, m batchMatcher, events []*expr.Event, batch int) float64 {
+	var r apcm.BatchResult
+	m.MatchBatchInto(events[:min(len(events), 2*batch)], &r)
+	off := 0
+	v, _ := rate(cfg, name, "events/s", func() (int, error) {
+		end := min(off+batch, len(events))
+		m.MatchBatchInto(events[off:end], &r)
+		n := end - off
+		if off = end; off == len(events) {
+			off = 0
+		}
+		return n, nil
+	})
+	return v
+}
+
+// matchLatency samples the single-event MatchAppend path over events,
+// the path a broker publish takes, after a 64-event warm-up.
+func matchLatency(cfg Config, name string, m batchMatcher, events []*expr.Event) *stats.Histogram {
+	var dst []expr.ID
+	for _, ev := range events[:min(64, len(events))] {
+		dst = m.MatchAppend(dst[:0], ev)
+	}
+	i := 0
+	return latency(cfg, name, func() {
+		dst = m.MatchAppend(dst[:0], events[i%len(events)])
+		i++
+	})
 }
 
 // measureAlgorithms builds one engine per algorithm over xs and returns
-// each algorithm's throughput on events.
-func measureAlgorithms(cfg Config, algs []apcm.Algorithm, xs []*expr.Expression, events []*expr.Event) (map[apcm.Algorithm]float64, error) {
+// each algorithm's throughput on events, timed as the point prefix
+// followed by the algorithm name.
+func measureAlgorithms(cfg Config, prefix string, algs []apcm.Algorithm, xs []*expr.Expression, events []*expr.Event) (map[apcm.Algorithm]float64, error) {
 	out := make(map[apcm.Algorithm]float64, len(algs))
 	for _, alg := range algs {
-		e, err := buildEngine(cfg, alg, cfg.Workers, xs)
+		e, err := buildEngine(cfg, apcm.Options{Algorithm: alg}, xs)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", alg, err)
 		}
-		out[alg] = throughput(e, events, cfg.MinMeasure)
+		out[alg] = matchRate(cfg, prefix+alg.String(), e, events, 64)
 		e.Close()
 	}
 	return out, nil

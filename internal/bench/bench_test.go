@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -22,8 +24,8 @@ func tinyConfig(out *bytes.Buffer) Config {
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Fatalf("registry has %d experiments, want 20", len(all))
+	if len(all) < 20 {
+		t.Fatalf("registry has %d experiments, want at least E1..E20", len(all))
 	}
 	seen := map[string]bool{}
 	for i, e := range all {
@@ -35,8 +37,8 @@ func TestRegistryComplete(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	for i := 1; i <= 19; i++ {
-		id := "E" + itoa(i)
+	for i := 1; i <= len(all); i++ {
+		id := fmt.Sprintf("E%d", i)
 		if _, ok := Get(id); !ok {
 			t.Fatalf("experiment %s missing", id)
 		}
@@ -46,31 +48,60 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func itoa(i int) string {
-	if i >= 10 {
-		return string(rune('0'+i/10)) + string(rune('0'+i%10))
-	}
-	return string(rune('0' + i))
-}
-
+// TestAllExperimentsRunAtTinyScale runs every experiment in both modes:
+// as apcm-bench runs it (each point looped until MinMeasure) and as go
+// test -bench runs it, where each point's b.N loop runs here through
+// testing.Benchmark at one iteration and must report a positive rate
+// (or latency).
 func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke runs skipped in -short mode")
 	}
+	benchtime := flag.Lookup("test.benchtime")
+	old := benchtime.Value.String()
+	if err := benchtime.Value.Set("1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { benchtime.Value.Set(old) })
+
+	run := func(t *testing.T, e Experiment, cfg Config) {
+		t.Helper()
+		if err := e.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		s := cfg.Out.(*bytes.Buffer).String()
+		if !strings.Contains(s, e.ID+":") {
+			t.Fatalf("%s output missing its id header:\n%s", e.ID, s)
+		}
+		if len(strings.Split(strings.TrimSpace(s), "\n")) < 3 {
+			t.Fatalf("%s output implausibly short:\n%s", e.ID, s)
+		}
+	}
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			var out bytes.Buffer
-			if err := e.Run(tinyConfig(&out)); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			s := out.String()
-			if !strings.Contains(s, e.ID+":") {
-				t.Fatalf("%s output missing its id header:\n%s", e.ID, s)
-			}
-			if len(strings.Split(strings.TrimSpace(s), "\n")) < 3 {
-				t.Fatalf("%s output implausibly short:\n%s", e.ID, s)
-			}
+			t.Run("measure", func(t *testing.T) {
+				run(t, e, tinyConfig(&bytes.Buffer{}))
+			})
+			t.Run("bench", func(t *testing.T) {
+				cfg := tinyConfig(&bytes.Buffer{})
+				points := 0
+				cfg.runPoint = func(name string, body func(*testing.B)) {
+					points++
+					res := testing.Benchmark(body)
+					if res.N != 1 || len(res.Extra) == 0 {
+						t.Errorf("%s/%s: ran %d iterations, reported %v", e.ID, name, res.N, res.Extra)
+					}
+					for unit, v := range res.Extra {
+						if !(v > 0) {
+							t.Errorf("%s/%s: %s = %v, want > 0", e.ID, name, unit, v)
+						}
+					}
+				}
+				run(t, e, cfg)
+				if points == 0 {
+					t.Fatalf("%s has no timed data point", e.ID)
+				}
+			})
 		})
 	}
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"github.com/streammatch/apcm"
 	"github.com/streammatch/apcm/shard"
@@ -19,8 +18,8 @@ import (
 // (LoadSubscriptionsSequential), the optimized engine restore (slab
 // decode + bulk insert, pipelined across decode workers when cores
 // allow), and a 4-shard group restoring shards in parallel into
-// quarter-size trees. BENCH_pr8.json holds a committed pass through
-// the go-test twin (BenchmarkLoadSubscriptions).
+// quarter-size trees. Each restore is one timed operation, so a point's
+// wall time is the mean over its repetitions.
 
 func init() {
 	register(e20())
@@ -66,18 +65,6 @@ func e20() Experiment {
 				}
 				data := buf.Bytes()
 
-				restore := func(load func([]byte) (int, error)) (time.Duration, error) {
-					start := time.Now()
-					n, err := load(data)
-					d := time.Since(start)
-					if err != nil {
-						return 0, err
-					}
-					if n != nsubs {
-						return 0, fmt.Errorf("restored %d of %d subscriptions", n, nsubs)
-					}
-					return d, nil
-				}
 				paths := []struct {
 					name string
 					load func([]byte) (int, error)
@@ -109,20 +96,22 @@ func e20() Experiment {
 				}
 				var base float64
 				for _, path := range paths {
-					d, err := restore(path.load)
+					r, err := rate(cfg, fmt.Sprintf("subs=%d/%s", nsubs, path.name), "subs/s", func() (int, error) {
+						n, err := path.load(data)
+						if err == nil && n != nsubs {
+							err = fmt.Errorf("restored %d of %d subscriptions", n, nsubs)
+						}
+						return n, err
+					})
 					if err != nil {
 						return fmt.Errorf("E20 %d subs via %s: %w", nsubs, path.name, err)
 					}
-					rate := float64(nsubs) / d.Seconds()
 					if path.name == "sequential" {
-						base = rate
-					}
-					speedup := "-"
-					if base > 0 {
-						speedup = fmt.Sprintf("%.2fx", rate/base)
+						base = r
 					}
 					t.AddRow(fmt.Sprintf("%d", nsubs), path.name,
-						fmt.Sprintf("%.2f", d.Seconds()), FormatRate(rate), speedup)
+						fmt.Sprintf("%.2f", safeDiv(float64(nsubs), r)), FormatRate(r),
+						fmt.Sprintf("%.2fx", safeDiv(r, base)))
 				}
 			}
 			emit(cfg, t)

@@ -26,15 +26,14 @@ func e18() Experiment {
 		Expect: "on the sparse canonical workload each lever contributes and all-off is slowest; on the dense redundant regime the variants tie within noise (ours: beyond-paper ablation)",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			type regime struct {
+			regimes := []struct {
 				label string
 				pool  int
+			}{
+				{"canonical", 0},
+				{"redundant", 4},
 			}
-			regimes := []regime{
-				{"canonical (sparse)", 0},
-				{"redundant pool=4 (dense)", 4},
-			}
-			t := NewTable("E18: A-PCM throughput vs layout levers and posting density",
+			t := NewTable("E18: A-PCM throughput vs layout levers and posting density (canonical = sparse, redundant = pool of 4, dense)",
 				"regime", "variant", "A-PCM ev/s", "vs all-off", "sparse/dense postings", "flat-eq tables")
 			for _, rg := range regimes {
 				p := baseParams(cfg.Seed)
@@ -44,18 +43,11 @@ func e18() Experiment {
 				layouts := make([]string, len(LayoutVariants))
 				tables := make([]int, len(LayoutVariants))
 				for i, v := range LayoutVariants {
-					e, err := apcm.New(apcm.Options{Workers: cfg.Workers, Metrics: cfg.Metrics, Ablation: v.Ablation})
+					e, err := buildEngine(cfg, apcm.Options{Ablation: v.Ablation}, xs)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							e.Close()
-							return err
-						}
-					}
-					e.Prepare()
-					rates[i] = batchThroughput(e, events, 64, cfg.MinMeasure)
+					rates[i] = matchRate(cfg, rg.label+"/"+v.Name, e, events, 64)
 					st := e.Stats()
 					layouts[i] = fmt.Sprintf("%d/%d", st.SparsePostings, st.DensePostings)
 					tables[i] = st.EqFlatTables

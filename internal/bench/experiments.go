@@ -9,7 +9,6 @@ import (
 	"github.com/streammatch/apcm/broker"
 	"github.com/streammatch/apcm/expr"
 	"github.com/streammatch/apcm/internal/osr"
-	"github.com/streammatch/apcm/internal/stats"
 	"github.com/streammatch/apcm/workload"
 )
 
@@ -50,7 +49,7 @@ func e1() Experiment {
 			n := cfg.n(20000, 200)
 			xs, events := gen(baseParams(cfg.Seed), n, cfg.n(2000, 100))
 			algs := apcm.Algorithms()
-			rates, err := measureAlgorithms(cfg, algs, xs, events)
+			rates, err := measureAlgorithms(cfg, "", algs, xs, events)
 			if err != nil {
 				return err
 			}
@@ -85,7 +84,7 @@ func e2() Experiment {
 			for _, base := range []int{1000, 2000, 5000, 10000, 20000} {
 				n := cfg.n(base, 100)
 				xs, events := gen(baseParams(cfg.Seed), n, cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureAlgorithms(cfg, fmt.Sprintf("subs=%d/", n), algs, xs, events)
 				if err != nil {
 					return err
 				}
@@ -120,7 +119,7 @@ func e3() Experiment {
 					p.EventAttrs = k + 3
 				}
 				xs, events := gen(p, cfg.n(8000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureAlgorithms(cfg, fmt.Sprintf("preds=%d/", k), algs, xs, events)
 				if err != nil {
 					return err
 				}
@@ -152,7 +151,7 @@ func e4() Experiment {
 				p := baseParams(cfg.Seed)
 				p.NumAttrs = d
 				xs, events := gen(p, cfg.n(8000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureAlgorithms(cfg, fmt.Sprintf("attrs=%d/", d), algs, xs, events)
 				if err != nil {
 					return err
 				}
@@ -184,7 +183,7 @@ func e5() Experiment {
 				p := baseParams(cfg.Seed)
 				p.MatchFraction = mf
 				xs, events := gen(p, cfg.n(8000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureAlgorithms(cfg, fmt.Sprintf("match=%.2f/", mf), algs, xs, events)
 				if err != nil {
 					return err
 				}
@@ -216,7 +215,7 @@ func e6() Experiment {
 			for _, w := range []int{1, 2, 4, 8} {
 				c := cfg
 				c.Workers = w
-				rates, err := measureAlgorithms(c, []apcm.Algorithm{apcm.PCM, apcm.APCM}, xs, events)
+				rates, err := measureAlgorithms(c, fmt.Sprintf("workers=%d/", w), []apcm.Algorithm{apcm.PCM, apcm.APCM}, xs, events)
 				if err != nil {
 					return err
 				}
@@ -249,54 +248,43 @@ func e7() Experiment {
 		Expect: "PCM wins on redundant workloads, the uncompressed tree wins on heterogeneous selective ones; A-PCM tracks whichever is better",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			t := NewTable("E7: throughput vs predicate-pool redundancy",
-				"pred pool", "BE-Tree-256 ev/s", "PCM ev/s", "A-PCM ev/s", "A-PCM vs best")
-			type variant struct {
+			t := NewTable("E7: throughput vs predicate-pool redundancy (4 = most redundant, none = heterogeneous; BE-Tree with 256-member clusters)",
+				"pred pool", "BE-Tree ev/s", "PCM ev/s", "A-PCM ev/s", "A-PCM vs best")
+			specs := []struct {
+				name string
+				opts apcm.Options
+			}{
+				{"BE-Tree", apcm.Options{Algorithm: apcm.BETree, ClusterSize: 256}},
+				{"PCM", apcm.Options{Algorithm: apcm.PCM}},
+				{"A-PCM", apcm.Options{Algorithm: apcm.APCM}},
+			}
+			for _, v := range []struct {
 				label string
 				pool  int
 				card  int
-			}
-			variants := []variant{
-				{"4 (max redundancy)", 4, 1000},
+			}{
+				{"4", 4, 1000},
 				{"16", 16, 1000},
 				{"64", 64, 1000},
-				{"none (heterogeneous)", 0, 100000},
-			}
-			for _, v := range variants {
+				{"none", 0, 100000},
+			} {
 				p := baseParams(cfg.Seed)
 				p.PredPoolSize = v.pool
 				p.Cardinality = v.card
 				xs, events := gen(p, cfg.n(10000, 100), cfg.n(1500, 100))
 
-				rates := map[string]float64{}
-				for _, spec := range []struct {
-					key  string
-					opts apcm.Options
-				}{
-					{"tree", apcm.Options{Algorithm: apcm.BETree, Workers: cfg.Workers, ClusterSize: 256}},
-					{"pcm", apcm.Options{Algorithm: apcm.PCM, Workers: cfg.Workers}},
-					{"apcm", apcm.Options{Algorithm: apcm.APCM, Workers: cfg.Workers}},
-				} {
-					e, err := apcm.New(spec.opts)
+				var rates [3]float64
+				for i, spec := range specs {
+					e, err := buildEngine(cfg, spec.opts, xs)
 					if err != nil {
 						return err
 					}
-					for _, x := range xs {
-						if err := e.Subscribe(x); err != nil {
-							return err
-						}
-					}
-					e.Prepare()
-					rates[spec.key] = throughput(e, events, cfg.MinMeasure)
+					rates[i] = matchRate(cfg, "pool="+v.label+"/"+spec.name, e, events, 64)
 					e.Close()
 				}
-				best := rates["tree"]
-				if rates["pcm"] > best {
-					best = rates["pcm"]
-				}
 				t.AddRow(v.label,
-					FormatRate(rates["tree"]), FormatRate(rates["pcm"]), FormatRate(rates["apcm"]),
-					fmt.Sprintf("%.2fx", safeDiv(rates["apcm"], best)))
+					FormatRate(rates[0]), FormatRate(rates[1]), FormatRate(rates[2]),
+					fmt.Sprintf("%.2fx", safeDiv(rates[2], max(rates[0], rates[1]))))
 			}
 			emit(cfg, t)
 			return nil
@@ -316,7 +304,7 @@ func e8() Experiment {
 			p := baseParams(cfg.Seed)
 			p.AttrZipf = 1.5 // skewed streams benefit most from re-ordering
 			xs, events := gen(p, cfg.n(15000, 200), cfg.n(4000, 200))
-			e, err := buildEngine(cfg, apcm.APCM, cfg.Workers, xs)
+			e, err := buildEngine(cfg, apcm.Options{}, xs)
 			if err != nil {
 				return err
 			}
@@ -325,7 +313,7 @@ func e8() Experiment {
 			var base float64
 			for _, w := range []int{1, 16, 64, 256, 1024} {
 				ordered := reorderWindows(events, w)
-				r := throughput(e, ordered, cfg.MinMeasure)
+				r := matchRate(cfg, fmt.Sprintf("window=%d", w), e, ordered, 64)
 				if w == 1 {
 					base = r
 				}
@@ -359,38 +347,41 @@ func reorderWindows(events []*expr.Event, window int) []*expr.Event {
 func e9() Experiment {
 	return Experiment{
 		ID:     "E9",
-		Title:  "Memory footprint and compression ratio vs subscription count",
+		Title:  "Memory footprint, compression ratio and index build rate vs subscription count",
 		Expect: "the compressed index stays within a small constant of the tree baseline while replacing several predicate evaluations per dictionary entry",
 		Run: func(cfg Config) error {
 			cfg.sanitize()
-			algs := apcm.Algorithms()
-			headers := []string{"subscriptions"}
-			for _, a := range algs {
-				headers = append(headers, a.String()+" mem")
-			}
-			headers = append(headers, "A-PCM compression")
-			t := NewTable("E9: memory footprint", headers...)
+			t := NewTable("E9: memory footprint and index build",
+				"subscriptions", "algorithm", "mem", "compression", "build subs/s")
 			for _, base := range []int{2000, 10000, 20000} {
 				n := cfg.n(base, 100)
 				xs, events := gen(baseParams(cfg.Seed), n, 200)
-				row := []string{fmt.Sprintf("%d", n)}
-				var ratio float64
-				for _, a := range algs {
-					e, err := buildEngine(cfg, a, 1, xs)
+				for _, a := range apcm.Algorithms() {
+					var e *apcm.Engine
+					r, err := rate(cfg, fmt.Sprintf("subs=%d/%v", n, a), "subs/s", func() (int, error) {
+						if e != nil {
+							e.Close()
+						}
+						var err error
+						e, err = buildEngine(cfg, apcm.Options{Algorithm: a, Workers: 1}, xs)
+						return len(xs), err
+					})
 					if err != nil {
 						return err
+					}
+					if e == nil { // point filtered out by -bench
+						continue
 					}
 					// Touch clusters so lazily compiled state is counted.
 					e.MatchBatch(events)
 					st := e.Stats()
-					row = append(row, FormatBytes(st.MemBytes))
-					if a == apcm.APCM {
-						ratio = st.CompressionRatio
-					}
 					e.Close()
+					comp := "-"
+					if st.CompressionRatio > 0 {
+						comp = fmt.Sprintf("%.1f preds/entry", st.CompressionRatio)
+					}
+					t.AddRow(fmt.Sprintf("%d", n), a.String(), FormatBytes(st.MemBytes), comp, FormatRate(r))
 				}
-				row = append(row, fmt.Sprintf("%.1f preds/entry", ratio))
-				t.AddRow(row...)
 			}
 			emit(cfg, t)
 			return nil
@@ -408,7 +399,7 @@ func e10() Experiment {
 		Run: func(cfg Config) error {
 			cfg.sanitize()
 			xs, events := gen(baseParams(cfg.Seed), cfg.n(15000, 200), cfg.n(2000, 100))
-			e, err := buildEngine(cfg, apcm.APCM, cfg.Workers, xs)
+			e, err := buildEngine(cfg, apcm.Options{}, xs)
 			if err != nil {
 				return err
 			}
@@ -416,7 +407,7 @@ func e10() Experiment {
 			t := NewTable("E10: throughput vs batch size", "batch", "A-PCM ev/s", "vs batch 1")
 			var base float64
 			for _, b := range []int{1, 8, 64, 256, 1024} {
-				r := throughputBatch(e, events, cfg.MinMeasure, b)
+				r := matchRate(cfg, fmt.Sprintf("batch=%d", b), e, events, b)
 				if b == 1 {
 					base = r
 				}
@@ -426,34 +417,6 @@ func e10() Experiment {
 			return nil
 		},
 	}
-}
-
-// throughputBatch is throughput with an explicit MatchBatch chunk size.
-func throughputBatch(e *apcm.Engine, events []*expr.Event, minDur time.Duration, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	e.MatchBatch(events[:min(len(events), batch)])
-	start := time.Now()
-	n := 0
-	for time.Since(start) < minDur {
-		for off := 0; off < len(events); off += batch {
-			end := off + batch
-			if end > len(events) {
-				end = len(events)
-			}
-			e.MatchBatch(events[off:end])
-			n += end - off
-			if time.Since(start) >= minDur {
-				break
-			}
-		}
-	}
-	sec := time.Since(start).Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(n) / sec
 }
 
 // ---------------------------------------------------------------- E11
@@ -469,23 +432,11 @@ func e11() Experiment {
 			t := NewTable("E11: per-event match latency",
 				"algorithm", "p50", "p95", "p99", "max")
 			for _, a := range apcm.Algorithms() {
-				e, err := buildEngine(cfg, a, cfg.Workers, xs)
+				e, err := buildEngine(cfg, apcm.Options{Algorithm: a}, xs)
 				if err != nil {
 					return err
 				}
-				h := stats.NewLatencyHistogram()
-				deadline := time.Now().Add(cfg.MinMeasure)
-				for i := 0; ; i++ {
-					ev := events[i%len(events)]
-					start := time.Now()
-					e.Match(ev)
-					h.AddDuration(time.Since(start))
-					// Collect at least 30 samples even if one pass already
-					// exceeds the deadline (slow baselines at large sizes).
-					if time.Now().After(deadline) && i >= 30 {
-						break
-					}
-				}
+				h := matchLatency(cfg, a.String(), e, events)
 				t.AddRow(a.String(),
 					time.Duration(h.Quantile(0.50)).String(),
 					time.Duration(h.Quantile(0.95)).String(),
@@ -511,47 +462,54 @@ func e12() Experiment {
 			n := cfg.n(10000, 200)
 			churn := n / 5
 			t := NewTable("E12: update throughput",
-				"algorithm", "inserts/s", "deletes/s", "match ev/s during churn")
+				"algorithm", "updates/s", "match ev/s during churn")
 			for _, a := range apcm.Algorithms() {
-				p := baseParams(cfg.Seed)
-				g := workload.MustNew(p)
+				g := workload.MustNew(baseParams(cfg.Seed))
 				xs := g.Expressions(n + churn)
 				events := g.Events(500)
-				e, err := buildEngine(cfg, a, cfg.Workers, xs[:n])
+				e, err := buildEngine(cfg, apcm.Options{Algorithm: a}, xs)
 				if err != nil {
 					return err
 				}
-
-				start := time.Now()
-				for _, x := range xs[n:] {
-					if err := e.Subscribe(x); err != nil {
-						return err
-					}
-				}
-				insRate := float64(churn) / time.Since(start).Seconds()
-
-				// Matching interleaved with churn: alternate one event with
-				// one delete+reinsert pair.
-				me := stats.NewMeter()
-				for i := 0; i < 200; i++ {
-					e.Match(events[i%len(events)])
-					me.Add(1)
-					x := xs[n+i%churn]
-					e.Unsubscribe(x.ID)
-					if err := e.Subscribe(x); err != nil {
-						return err
-					}
-				}
-				matchRate := me.Rate()
-
-				start = time.Now()
-				for _, x := range xs[n:] {
+				// An update deletes the next of the last churn subscriptions
+				// and re-inserts it, so the database stays at n+churn. Each
+				// timed operation is 64 updates.
+				j := 0
+				update := func() error {
+					x := xs[n+j%churn]
+					j++
 					if !e.Unsubscribe(x.ID) {
-						return fmt.Errorf("%v: unsubscribe failed", a)
+						return fmt.Errorf("%v: unsubscribe %d failed", a, x.ID)
 					}
+					return e.Subscribe(x)
 				}
-				delRate := float64(churn) / time.Since(start).Seconds()
-				t.AddRow(a.String(), FormatRate(insRate), FormatRate(delRate), FormatRate(matchRate))
+				updRate, err := rate(cfg, a.String()+"/update", "updates/s", func() (int, error) {
+					for k := 0; k < 64; k++ {
+						if err := update(); err != nil {
+							return 0, err
+						}
+					}
+					return 64, nil
+				})
+				if err != nil {
+					return err
+				}
+				// Matching interleaved with churn: one event, then one update.
+				i := 0
+				churnRate, err := rate(cfg, a.String()+"/match-during-churn", "events/s", func() (int, error) {
+					for k := 0; k < 64; k++ {
+						e.Match(events[i%len(events)])
+						i++
+						if err := update(); err != nil {
+							return 0, err
+						}
+					}
+					return 64, nil
+				})
+				if err != nil {
+					return err
+				}
+				t.AddRow(a.String(), FormatRate(updRate), FormatRate(churnRate))
 				e.Close()
 			}
 			emit(cfg, t)
@@ -579,7 +537,7 @@ func e13() Experiment {
 				p.WRange = rest * 0.7
 				p.WMembership = rest * 0.3
 				xs, events := gen(p, cfg.n(10000, 100), cfg.n(1500, 100))
-				rates, err := measureAlgorithms(cfg, algs, xs, events)
+				rates, err := measureAlgorithms(cfg, fmt.Sprintf("eq=%.0f/", eq*100), algs, xs, events)
 				if err != nil {
 					return err
 				}
@@ -656,30 +614,34 @@ func e14() Experiment {
 				return err
 			}
 
+			_, del0 := srv.Stats()
 			published := 0
-			start := time.Now()
-			for time.Since(start) < cfg.MinMeasure {
+			r, err := rate(cfg, "publish", "events/s", func() (int, error) {
 				for _, ev := range events {
 					if err := c.Publish(ev); err != nil {
-						return err
+						return 0, err
 					}
-					published++
 				}
 				// Barrier: an acknowledged request on the same connection
 				// proves every prior publish was processed in order.
 				if err := c.Unsubscribe(99999); err == nil {
-					return fmt.Errorf("barrier unsubscribe unexpectedly succeeded")
+					return 0, fmt.Errorf("barrier unsubscribe unexpectedly succeeded")
 				}
+				published += len(events)
+				return len(events), nil
+			})
+			if err != nil {
+				return err
 			}
-			elapsed := time.Since(start).Seconds()
+			_, del := srv.Stats()
+			perEvent := safeDiv(float64(del-del0), float64(published))
 
-			srvPub, srvDel := srv.Stats()
 			t := NewTable("E14: broker end-to-end over loopback",
 				"metric", "value")
 			t.AddRow("subscriptions", fmt.Sprintf("%d", eng.Len()))
 			t.AddRow("events published", fmt.Sprintf("%d", published))
-			t.AddRow("end-to-end events/s", FormatRate(float64(srvPub)/elapsed))
-			t.AddRow("deliveries", fmt.Sprintf("%d", srvDel))
+			t.AddRow("end-to-end events/s", FormatRate(r))
+			t.AddRow("deliveries/s", FormatRate(r*perEvent))
 			emit(cfg, t)
 			return nil
 		},

@@ -2,11 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"github.com/streammatch/apcm"
-	"github.com/streammatch/apcm/expr"
-	"github.com/streammatch/apcm/internal/stats"
 	"github.com/streammatch/apcm/shard"
 	"github.com/streammatch/apcm/workload"
 )
@@ -14,7 +10,9 @@ import (
 // E19: the sharded matching tier (shard.Group) swept over subscription
 // count × shard count. This is the scaling experiment behind DESIGN.md
 // §10 and the README's scaling section; BENCH_pr7.json holds a
-// committed run.
+// committed run. Every point builds a group, even at one shard: a
+// 1-shard group delegates straight to its engine, so the baseline pays
+// the facade too and the sweep isolates sharding, not wrapper overhead.
 
 func init() {
 	register(e19())
@@ -23,70 +21,6 @@ func init() {
 // defaultShardCounts is the E19 shard-count axis when Config.Shards is
 // unset.
 var defaultShardCounts = []int{1, 2, 4, 8, 16}
-
-// batchMatcher is the batch surface E19 measures through — satisfied by
-// both *apcm.Engine and *shard.Group, though E19 always builds groups
-// (a 1-shard group delegates directly, so the facade itself is on the
-// baseline too and the sweep isolates sharding, not wrapper overhead).
-type batchMatcher interface {
-	MatchAppend([]expr.ID, *expr.Event) []expr.ID
-	MatchBatchInto([]*expr.Event, *apcm.BatchResult)
-}
-
-// groupThroughputN mirrors batchThroughputN over the group surface:
-// sustained MatchBatchInto replay with a reused result until minDur.
-func groupThroughputN(m batchMatcher, events []*expr.Event, batch int, minDur time.Duration) (float64, int) {
-	var r apcm.BatchResult
-	warm := len(events)
-	if warm > 2*batch {
-		warm = 2 * batch
-	}
-	m.MatchBatchInto(events[:warm], &r)
-
-	start := time.Now()
-	n := 0
-	for time.Since(start) < minDur {
-		for off := 0; off < len(events); off += batch {
-			end := off + batch
-			if end > len(events) {
-				end = len(events)
-			}
-			m.MatchBatchInto(events[off:end], &r)
-			n += end - off
-			if n >= batch && time.Since(start) >= minDur {
-				break
-			}
-		}
-	}
-	sec := time.Since(start).Seconds()
-	if sec <= 0 {
-		return 0, n
-	}
-	return float64(n) / sec, n
-}
-
-// groupP99 measures single-event match latency over the group surface
-// and returns the p99 in nanoseconds. Latency is measured on the
-// single-event path — the one a broker publish takes — not the batch
-// kernel the throughput numbers drive.
-func groupP99(m batchMatcher, events []*expr.Event, minDur time.Duration) float64 {
-	h := stats.NewLatencyHistogram()
-	var dst []expr.ID
-	for _, ev := range events[:min(64, len(events))] { // warm
-		dst = m.MatchAppend(dst[:0], ev)
-	}
-	start := time.Now()
-	for i := 0; time.Since(start) < minDur || h.Count() < 256; i++ {
-		ev := events[i%len(events)]
-		t0 := time.Now()
-		dst = m.MatchAppend(dst[:0], ev)
-		h.AddDuration(time.Since(t0))
-		if h.Count() >= 1<<20 {
-			break
-		}
-	}
-	return h.Quantile(0.99)
-}
 
 // buildGroup streams nsubs workload expressions into a fresh group and
 // precompiles it. Subscriptions are generated one at a time — never
@@ -152,8 +86,9 @@ func e19() Experiment {
 						return fmt.Errorf("E19 %d subs × %d shards: %w", nsubs, sc, err)
 					}
 					events := g.Events(nev)
-					rate, _ := groupThroughputN(grp, events, 256, cfg.MinMeasure)
-					p99 := groupP99(grp, events, cfg.MinMeasure/4)
+					name := fmt.Sprintf("subs=%d/shards=%d/", nsubs, sc)
+					rate := matchRate(cfg, name+"throughput", grp, events, 256)
+					p99 := matchLatency(cfg, name+"latency", grp, events).Quantile(0.99)
 					imb := grp.Stats().Imbalance
 					grp.Close()
 					if sc == shardCounts[0] {

@@ -22,13 +22,12 @@ func metricValue(t *testing.T, reg *metrics.Registry, name string) float64 {
 	return 0
 }
 
-// TestVariantsReachEngine checks that every ablation variant, and each
-// side of the E1 layout A/B, reaches the engine: each switched-off
-// technique leaves no trace in the engine's own metrics while the
-// default engine shows it on the same workload, and every variant still
-// returns the default engine's match sets. It guards the E1 A/B and the
-// E17/E18 tables against measuring the default layout under another
-// name.
+// TestVariantsReachEngine checks that every ablation variant reaches
+// the engine: each switched-off technique leaves no trace in the
+// engine's own metrics while the default engine shows it on the same
+// workload, and every variant still returns the default engine's match
+// sets. It guards the E17/E18 tables, and so the E18 full/all-off
+// layout A/B, against measuring the default layout under another name.
 func TestVariantsReachEngine(t *testing.T) {
 	// E18's canonical workload (sparse postings) with E17's skew and
 	// range-heavy mix, so the memo has repeats to serve.
@@ -47,14 +46,14 @@ func TestVariantsReachEngine(t *testing.T) {
 		metric string
 		off    []string
 	}{
-		{"hybrid postings", "apcm_posting_sparse", []string{"no-hybrid", "all-off", "legacy"}},
-		{"flat equality tables", "apcm_posting_eq_flat_tables", []string{"no-flateq", "all-off", "legacy"}},
-		{"group ordering", "apcm_group_order_sorts_total", []string{"no-ordering", "all-off", "legacy"}},
+		{"hybrid postings", "apcm_posting_sparse", []string{"no-hybrid", "all-off"}},
+		{"flat equality tables", "apcm_posting_eq_flat_tables", []string{"no-flateq", "all-off"}},
+		{"group ordering", "apcm_group_order_sorts_total", []string{"no-ordering", "all-off"}},
 		{"batch memo", "apcm_batch_memo_lookups_total", []string{"no-memo"}},
 	}
 
 	var want [][]expr.ID
-	for _, v := range append(Variants, LayoutAB...) {
+	for _, v := range Variants {
 		reg := metrics.New()
 		e, err := apcm.New(apcm.Options{Workers: 2, Metrics: reg, Ablation: v.Ablation})
 		if err != nil {
@@ -81,7 +80,7 @@ func TestVariantsReachEngine(t *testing.T) {
 			if slices.Contains(tr.off, v.Name) && n != 0 {
 				t.Errorf("%s: %s = %v with %s switched off", v.Name, tr.metric, n, tr.name)
 			}
-			if (v.Name == "full" || v.Name == "pr3") && n == 0 {
+			if v == Full && n == 0 {
 				t.Errorf("%s: %s = 0; the default engine should use %s on this workload", v.Name, tr.metric, tr.name)
 			}
 		}
