@@ -277,16 +277,20 @@ func (c *conn) handleResume(body []byte) error {
 // and attaches the connection for live delivery. Catch-up rounds run
 // unlocked (history can be long); the final round holds cs.mu so that,
 // combined with publishers appending under cs.mu, the handoff boundary
-// is exact: every record is either replayed here or pushed live.
+// is exact: every record is either replayed here or pushed live. All
+// rounds continue one commit-log cursor, so each reads only what the
+// previous one did not.
 func (c *conn) replayConsumer(cs *consumerState, start uint64) error {
 	s := c.s
+	tail := s.log.Tail(start)
+	defer tail.Close()
 	pos := start
 	for round := 0; round < 3; round++ {
 		committed := s.log.Committed()
 		if pos >= committed {
 			break
 		}
-		if err := c.replayRange(cs.name, pos, committed); err != nil {
+		if err := c.replayRange(cs.name, tail, start, committed); err != nil {
 			return err
 		}
 		pos = committed
@@ -297,7 +301,7 @@ func (c *conn) replayConsumer(cs *consumerState, start uint64) error {
 		return errors.New("consumer detached during resume replay")
 	}
 	if committed := s.log.Committed(); pos < committed {
-		if err := c.replayRange(cs.name, pos, committed); err != nil {
+		if err := c.replayRange(cs.name, tail, start, committed); err != nil {
 			return err
 		}
 	}
@@ -306,39 +310,32 @@ func (c *conn) replayConsumer(cs *consumerState, start uint64) error {
 	return nil
 }
 
-// errStopReplay bounds a replay round at the commit frontier it was
-// started with.
-var errStopReplay = errors.New("stop replay")
-
-func (c *conn) replayRange(name string, from, to uint64) error {
-	var sendErr error
-	err := c.s.log.Read(from, func(off uint64, rec []byte) error {
-		if off >= to {
-			return errStopReplay
+// replayRange sends name's records at offsets in [from, to) from the
+// batches tail yields below to (to is a commit frontier, so always a
+// batch boundary).
+func (c *conn) replayRange(name string, tail *commitlog.Tail, from, to uint64) error {
+	for tail.Next(to) {
+		for i, rec := range tail.Records() {
+			off := tail.Base() + uint64(i)
+			if off < from {
+				continue
+			}
+			rname, rest, err := decodeConsumerRecord(rec)
+			if err != nil {
+				return fmt.Errorf("record %d: %w", off, err)
+			}
+			if rname != name {
+				continue
+			}
+			frame := appendUvarint([]byte{msgDurable}, off)
+			frame = append(frame, rest...)
+			if !c.send(frame) {
+				return errors.New("connection closed during resume replay")
+			}
+			c.s.resumeReplayed.Add(1)
 		}
-		rname, tail, err := decodeConsumerRecord(rec)
-		if err != nil {
-			return fmt.Errorf("record %d: %w", off, err)
-		}
-		if rname != name {
-			return nil
-		}
-		frame := appendUvarint([]byte{msgDurable}, off)
-		frame = append(frame, tail...)
-		if !c.send(frame) {
-			sendErr = errors.New("connection closed during resume replay")
-			return errStopReplay
-		}
-		c.s.resumeReplayed.Add(1)
-		return nil
-	})
-	if sendErr != nil {
-		return sendErr
 	}
-	if err != nil && !errors.Is(err, errStopReplay) {
-		return err
-	}
-	return nil
+	return tail.Err()
 }
 
 func (c *conn) handleOffsetAck(body []byte) error {

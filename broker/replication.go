@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 
 	"github.com/streammatch/apcm/internal/commitlog"
@@ -229,46 +230,50 @@ func (c *conn) replDead() bool {
 // onward: whole sealed segments (CRC-finalized 'G'/'g' chunk
 // transfers) while the position aligns with a segment boundary, raw
 // batches ('b') otherwise, parking on the group-commit watermark when
-// caught up. One goroutine per attached replica; exits when the
-// connection dies.
+// caught up. The batches come from one commit-log cursor held for the
+// life of the connection, so each committed byte is read once. One
+// goroutine per attached replica; exits when the connection dies.
 //
 //apcm:durable Append ordering is inherited: everything read here is
 // below the committed watermark.
 func (c *conn) replSender(next uint64) {
 	s := c.s
+	var tail *commitlog.Tail
+	defer func() { tail.Close() }()
 	for !c.replDead() {
 		if shipped, ok := c.shipAlignedSegment(&next); !ok {
 			return
 		} else if shipped {
+			tail.Close() // behind the shipped segment; reopened at next
+			tail = nil
 			continue
 		}
-		sent := false
-		err := s.log.ReadBatches(next, func(base uint64, count uint32, raw []byte) error {
-			if c.replDead() {
-				return errStopReplay
+		if tail == nil {
+			var err error
+			if tail, err = s.log.ReplicaTail(next); err != nil {
+				s.Logf("broker: repl sender stopping at offset %d: %v", next, err)
+				c.abort()
+				return
 			}
-			if !c.sendChunked(msgReplBatch, raw) {
-				return errStopReplay
+		}
+		// Ship everything committed. A rotation between batches does not
+		// stop the stream: the cursor drains the sealed segment and moves
+		// on to its successor, so bulk shipping only resumes if next
+		// lands on a sealed segment's base while the sender is parked.
+		for tail.Next(math.MaxUint64) {
+			if c.replDead() || !c.sendChunked(msgReplBatch, tail.RawBatch()) {
+				return
 			}
 			s.replBatchesSent.Add(1)
-			next = base + uint64(count)
-			sent = true
-			// Break out between batches if a rotation just sealed a
-			// segment we could bulk-ship instead.
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopReplay) {
+			next = tail.NextOffset()
+		}
+		if err := tail.Err(); err != nil {
 			s.Logf("broker: repl sender stopping at offset %d: %v", next, err)
 			c.abort()
 			return
 		}
-		if c.replDead() {
+		if _, err := s.log.WaitCommitted(next, c.replDead); err != nil {
 			return
-		}
-		if !sent {
-			if _, err := s.log.WaitCommitted(next, c.replDead); err != nil {
-				return
-			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package commitlog
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -67,4 +69,53 @@ func BenchmarkLogAppendFsyncParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReadTail is the per-batch cost of reading the replication
+// tail: each op commits one batch of one 256-byte record (IngestBatch,
+// synchronous, no fsync) and reads it back through a cursor positioned
+// at the end of an active segment already holding 0, 1 or 4 MiB. The
+// cursor reads only the bytes committed since its last read, so the
+// cost should not depend on the fill. The op's one allocation is
+// IngestBatch's validating scanner; the cursor allocates nothing
+// (TestTailZeroAllocs).
+func BenchmarkReadTail(b *testing.B) {
+	for _, mib := range []int{0, 1, 4} {
+		b.Run(fmt.Sprintf("fill=%dMiB", mib), func(b *testing.B) {
+			l := benchLog(b, true)
+			fill := make([][]byte, 256)
+			for i := range fill {
+				fill[i] = make([]byte, 256)
+			}
+			var raw []byte
+			for written := 0; written < mib<<20; written += len(raw) {
+				raw = appendBatch(raw[:0], l.NextOffset(), fill)
+				if _, err := l.IngestBatch(raw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tail, err := l.ReplicaTail(l.Committed())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tail.Close()
+			if tail.Next(math.MaxUint64) || tail.Err() != nil { // position: one read of the fill
+				b.Fatalf("positioning at the end yielded a batch (err %v)", tail.Err())
+			}
+			one := fill[:1]
+			raw = appendBatch(raw[:0], 0, one)
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				raw = appendBatch(raw[:0], l.NextOffset(), one)
+				if _, err := l.IngestBatch(raw); err != nil {
+					b.Fatal(err)
+				}
+				if !tail.Next(math.MaxUint64) {
+					b.Fatalf("no batch after a commit: %v", tail.Err())
+				}
+			}
+		})
+	}
 }

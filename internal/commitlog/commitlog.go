@@ -199,6 +199,7 @@ type Log struct {
 	mTruncs     *metrics.Counter
 	mIngests    *metrics.Counter
 	mIngestedB  *metrics.Counter
+	mReadB      *metrics.Counter
 	mSegments   *metrics.Gauge
 }
 
@@ -262,6 +263,8 @@ func (l *Log) attachMetrics() {
 		"replicated batches and segments ingested from the leader")
 	l.mIngestedB = reg.Counter("apcm_broker_log_ingest_bytes_total",
 		"replicated bytes ingested from the leader")
+	l.mReadB = reg.Counter("apcm_broker_log_read_bytes_total",
+		"bytes read from segment files by tail cursors and sealed-segment fetches")
 	l.mSegments = reg.Gauge("apcm_broker_log_segments",
 		"live segment files (sealed + active)")
 }
@@ -641,58 +644,24 @@ func (l *Log) applyRetentionLocked() {
 	}
 }
 
-// Read invokes fn for every committed record with offset >= from, in
-// offset order. rec aliases an internal buffer and must not be retained
-// across calls. A segment deleted by retention between the snapshot and
-// the read is skipped (its records are gone by policy); a non-nil error
-// from fn aborts the read and is returned.
+// Read invokes fn for every record with offset >= from that is
+// committed when Read is called, in offset order. rec aliases an
+// internal buffer and must not be retained across calls. Records
+// retention deleted are skipped (gone by policy); a non-nil error from
+// fn aborts the read and is returned.
 func (l *Log) Read(from uint64, fn func(off uint64, rec []byte) error) error {
-	l.mu.Lock()
-	segs := make([]segment, 0, len(l.segs)+1)
-	segs = append(segs, l.segs...)
-	act := l.active
-	act.end = l.committed
-	segs = append(segs, act)
-	l.mu.Unlock()
-
-	for _, sg := range segs {
-		if sg.end <= from || sg.end == sg.base {
-			continue
-		}
-		data, err := os.ReadFile(sg.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return err
-		}
-		sc := NewScanner(data, sg.base)
-		for sc.Next() {
-			if sc.Base() >= sg.end {
-				break // flushed after our snapshot; not committed to us
-			}
-			off := sc.Base()
-			for _, rec := range sc.Records() {
-				if off >= from {
-					if err := fn(off, rec); err != nil {
-						return err
-					}
+	t := l.Tail(from)
+	defer t.Close()
+	for end := l.Committed(); t.Next(end); {
+		for i, rec := range t.Records() {
+			if off := t.Base() + uint64(i); off >= from {
+				if err := fn(off, rec); err != nil {
+					return err
 				}
-				off++
 			}
-		}
-		// The active segment's tail may hold a batch the flusher was
-		// mid-write on when we snapshotted — torn from our vantage, fine
-		// once NextOffset covers the committed snapshot. Anything less
-		// is real corruption.
-		if sc.NextOffset() < sg.end {
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("commitlog: reading %s: %w", sg.path, err)
-			}
-			return fmt.Errorf("%w: segment %s ends at offset %d, expected %d", ErrCorrupt, sg.path, sc.NextOffset(), sg.end)
 		}
 	}
-	return nil
+	return t.Err()
 }
 
 // Sync blocks until every record staged before the call is committed.

@@ -76,72 +76,8 @@ func (l *Log) ReadSegment(base uint64) ([]byte, SegmentInfo, error) {
 	if err != nil {
 		return nil, SegmentInfo{}, err
 	}
+	l.mReadB.Add(int64(len(data)))
 	return data, info, nil
-}
-
-// ReadBatches invokes fn for every committed batch whose base offset is
-// >= from, in offset order, passing the batch's raw on-disk bytes.
-// from must be a batch boundary of this log (it always is when the
-// caller is resuming a follower that ingests whole batches); a position
-// inside a batch, below the retention floor, or beyond the committed
-// watermark returns ErrNotReplicable. raw aliases an internal buffer
-// and must not be retained across calls.
-func (l *Log) ReadBatches(from uint64, fn func(base uint64, count uint32, raw []byte) error) error {
-	l.mu.Lock()
-	segs := make([]segment, 0, len(l.segs)+1)
-	segs = append(segs, l.segs...)
-	act := l.active
-	act.end = l.committed
-	segs = append(segs, act)
-	first := l.segs
-	lo := act.base
-	if len(first) > 0 {
-		lo = first[0].base
-	}
-	l.mu.Unlock()
-
-	if from < lo {
-		return fmt.Errorf("%w: offset %d below retained first offset %d", ErrNotReplicable, from, lo)
-	}
-	if from > act.end {
-		return fmt.Errorf("%w: offset %d beyond committed %d", ErrNotReplicable, from, act.end)
-	}
-	for _, sg := range segs {
-		if sg.end <= from || sg.end == sg.base {
-			continue
-		}
-		data, err := os.ReadFile(sg.path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				// Retention raced the snapshot; the clamp prevents this
-				// for attached followers, so treat it as not replicable.
-				return fmt.Errorf("%w: segment at base %d deleted", ErrNotReplicable, sg.base)
-			}
-			return err
-		}
-		sc := NewScanner(data, sg.base)
-		for sc.Next() {
-			if sc.Base() >= sg.end {
-				break // flushed after our snapshot; not committed to us
-			}
-			if sc.NextOffset() <= from {
-				continue
-			}
-			if sc.Base() < from {
-				return fmt.Errorf("%w: offset %d is inside a batch [%d,%d)", ErrNotReplicable, from, sc.Base(), sc.NextOffset())
-			}
-			if err := fn(sc.Base(), sc.Count(), sc.RawBatch()); err != nil {
-				return err
-			}
-		}
-		if sc.NextOffset() < sg.end {
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("commitlog: reading %s: %w", sg.path, err)
-			}
-			return fmt.Errorf("%w: segment %s ends at offset %d, expected %d", ErrCorrupt, sg.path, sc.NextOffset(), sg.end)
-		}
-	}
-	return nil
 }
 
 // IngestBatch validates raw as exactly one batch whose base offset is

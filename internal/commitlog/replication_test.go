@@ -3,6 +3,7 @@ package commitlog
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -49,12 +50,18 @@ func replicate(t *testing.T, leader, follower *Log) {
 		if installed {
 			continue
 		}
-		err := leader.ReadBatches(next, func(base uint64, count uint32, raw []byte) error {
-			_, err := follower.IngestBatch(raw)
-			return err
-		})
+		tail, err := leader.ReplicaTail(next)
 		if err != nil {
-			t.Fatalf("ReadBatches(%d): %v", next, err)
+			t.Fatalf("ReplicaTail(%d): %v", next, err)
+		}
+		defer tail.Close()
+		for tail.Next(math.MaxUint64) {
+			if _, err := follower.IngestBatch(tail.RawBatch()); err != nil {
+				t.Fatalf("IngestBatch(%d): %v", tail.Base(), err)
+			}
+		}
+		if err := tail.Err(); err != nil {
+			t.Fatalf("ReplicaTail(%d): %v", next, err)
 		}
 		return
 	}
@@ -141,9 +148,42 @@ func TestReadBatchesInsideBatchRejected(t *testing.T) {
 	if _, err := l.IngestBatch(raw); err != nil {
 		t.Fatal(err)
 	}
-	err := l.ReadBatches(1, func(uint64, uint32, []byte) error { return nil })
-	if !errors.Is(err, ErrNotReplicable) {
+	tail, err := l.ReplicaTail(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	if tail.Next(math.MaxUint64) {
+		t.Fatalf("shipped batch [%d,%d) for a start inside it", tail.Base(), tail.NextOffset())
+	}
+	if err := tail.Err(); !errors.Is(err, ErrNotReplicable) {
 		t.Fatalf("err = %v, want ErrNotReplicable", err)
+	}
+}
+
+// TestReplicaTailStartOutOfRange: a start below the retained first
+// offset or beyond the committed watermark is not replicable either.
+func TestReplicaTailStartOutOfRange(t *testing.T) {
+	cfg := fastCfg()
+	cfg.SegmentBytes = 256
+	cfg.RetainBytes = 1024
+	l := openLog(t, t.TempDir(), cfg)
+	fillLeader(t, l, 400)
+	lo, committed := l.FirstOffset(), l.Committed()
+	if lo == 0 {
+		t.Fatal("retention never kicked in; test needs a trimmed log")
+	}
+	for _, from := range []uint64{0, lo - 1, committed + 1} {
+		if _, err := l.ReplicaTail(from); !errors.Is(err, ErrNotReplicable) {
+			t.Errorf("ReplicaTail(%d) with retained [%d,%d): err = %v, want ErrNotReplicable", from, lo, committed, err)
+		}
+	}
+	for _, from := range []uint64{lo, committed} {
+		tail, err := l.ReplicaTail(from)
+		if err != nil {
+			t.Fatalf("ReplicaTail(%d): %v", from, err)
+		}
+		tail.Close()
 	}
 }
 

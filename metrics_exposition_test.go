@@ -60,9 +60,11 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	srv := broker.NewServer(eng)
 	srv.Metrics = reg
+	srv.LogDir = t.TempDir() // the commit log's apcm_broker_log_* instruments too
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 	waitForMetric(t, reg, "apcm_broker_connections")
+	waitForMetric(t, reg, "apcm_broker_log_read_bytes_total")
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -119,6 +121,7 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"apcm_match_latency_ns",
 		"apcm_broker_connections",
+		"apcm_broker_log_read_bytes_total",
 		"apcm_shard_count",
 		"apcm_shard_imbalance",
 		"apcm_shard_group_subscriptions",

@@ -104,7 +104,7 @@ type rawChunk struct {
 // expr.SlabDecoder) and subscribe in bulk. Decode cost therefore
 // parallelises across shards along with insertion, which is where the
 // multi-million-subscription cold-start cost goes on multi-core hosts
-// (see BenchmarkLoadSubscriptions); on a single-core host the load runs
+// (see experiment E20, the cold-start restore); on a single-core host the load runs
 // inline with the same chunked bulk inserts. The id allocator is
 // advanced past the largest loaded id so NewID never collides with a
 // restored subscription, also on a partial load. It returns the number
